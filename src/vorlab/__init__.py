@@ -8,7 +8,7 @@ diameter-scaling experiments; usable as a library or through the batch CLI
 
 from .geometry import (
     Ball,
-    VolumeEstimate,
+    Estimate,
     ball_intersection_volume,
     interval_union_length,
     two_ball_union_volume,
@@ -18,17 +18,12 @@ from .geometry import (
 from .sampling import (
     DensityModel,
     RandomStream,
-    density_ball_measure,
-    density_sample,
     gaussian,
     parse_density,
-    sample_unit_ball,
     uniform_ball,
     uniform_cube,
 )
-from .wstat import WkSample, sample_w, sample_wk
 from .moments import (
-    Estimate,
     MomentBounds,
     alpha_bounds,
     alpha_closed_form_d1,
@@ -45,7 +40,6 @@ from .cellsim import (
     DiameterExperimentConfig,
     DiameterResult,
     NNIndex,
-    build_nn_index,
     cone_directions,
     cone_nn_radii,
     estimate_cell_diameter,
@@ -58,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball",
-    "VolumeEstimate",
+    "Estimate",
     "ball_intersection_volume",
     "interval_union_length",
     "two_ball_union_volume",
@@ -66,17 +60,10 @@ __all__ = [
     "unit_ball_volume",
     "DensityModel",
     "RandomStream",
-    "density_ball_measure",
-    "density_sample",
     "gaussian",
     "parse_density",
-    "sample_unit_ball",
     "uniform_ball",
     "uniform_cube",
-    "WkSample",
-    "sample_w",
-    "sample_wk",
-    "Estimate",
     "MomentBounds",
     "alpha_bounds",
     "alpha_closed_form_d1",
@@ -91,7 +78,6 @@ __all__ = [
     "DiameterExperimentConfig",
     "DiameterResult",
     "NNIndex",
-    "build_nn_index",
     "cone_directions",
     "cone_nn_radii",
     "estimate_cell_diameter",

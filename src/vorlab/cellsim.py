@@ -14,7 +14,6 @@ of the empirical law.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,13 +22,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
-from .geometry import as_point
-from .moments import Estimate
+from .geometry import Estimate, as_point
 from .sampling import DensityModel, RandomStream
 
 __all__ = [
     "NNIndex",
-    "build_nn_index",
     "estimate_cell_measure",
     "exact_cell_measure_1d",
     "probe_cell_fractions",
@@ -52,6 +49,17 @@ _CONE_BOUNDARY_TOL = 1e-12
 _CONE_SEED = 20260809
 
 _QUANTILE_LEVELS = (0.5, 0.9, 0.99)
+
+# elements of the (block, n, d) difference array built per block of queries
+_BLOCK_ELEMENTS = 1 << 24
+
+
+def _sq_dist_blocks(q: np.ndarray, pts: np.ndarray):
+    """Yield (start, squared distances from a block of q's rows to every point)."""
+    step = max(1, _BLOCK_ELEMENTS // pts.size)
+    for lo in range(0, q.shape[0], step):
+        block = q[lo : lo + step]
+        yield lo, ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
 
 
 class NNIndex:
@@ -85,14 +93,10 @@ class NNIndex:
         return self._query_kdtree(q)
 
     def _query_brute(self, q: np.ndarray) -> np.ndarray:
-        n = self.points.shape[0]
         out = np.empty(q.shape[0], dtype=np.intp)
-        step = max(1, (1 << 24) // max(n, 1))
-        for lo in range(0, q.shape[0], step):
-            block = q[lo : lo + step]
-            d2 = ((block[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
+        for lo, d2 in _sq_dist_blocks(q, self.points):
             # argmin returns the first minimum, i.e. the smallest index
-            out[lo : lo + step] = np.argmin(d2, axis=1)
+            out[lo : lo + d2.shape[0]] = np.argmin(d2, axis=1)
         return out
 
     def _query_kdtree(self, q: np.ndarray) -> np.ndarray:
@@ -108,14 +112,14 @@ class NNIndex:
         return nearest
 
 
-def build_nn_index(points, method: str = "kdtree") -> NNIndex:
-    """Construct an exact nearest-neighbor index over the given points."""
-    return NNIndex(points, method=method)
-
-
-def _stack_with_center(x: np.ndarray, others) -> np.ndarray:
-    others = np.asarray(others, dtype=float).reshape(-1, x.size)
-    return np.vstack([x[None, :], others])
+def _probe_hits(
+    x: np.ndarray, others, model: DensityModel, probes: int, rng: RandomStream
+) -> np.ndarray:
+    """Draw probes from the model; return those whose nearest point among {x}
+    plus `others` is x (index 0, so x wins every tie)."""
+    pts = np.vstack([x[None, :], np.asarray(others, dtype=float).reshape(-1, x.size)])
+    draws = model.sample(rng, probes)
+    return draws[NNIndex(pts).query(draws) == 0]
 
 
 def estimate_cell_measure(
@@ -129,17 +133,8 @@ def estimate_cell_measure(
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    t0 = time.perf_counter()
-    x = as_point(x)
-    pts = _stack_with_center(x, others)
-    draws = model.sample(rng, int(probes))
-    hits = int(np.count_nonzero(NNIndex(pts).query(draws) == 0))
-    p = hits / probes
-    stderr = math.sqrt(p * (1.0 - p) / probes)
-    return Estimate(
-        value=p, stderr=stderr, samples=int(probes), seed=rng.seed,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    p = len(_probe_hits(as_point(x), others, model, int(probes), rng)) / probes
+    return Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / probes), samples=int(probes))
 
 
 def exact_cell_measure_1d(x, others, model: DensityModel) -> float:
@@ -235,9 +230,7 @@ def _cell_block(args):
             mu = exact_cell_measure_1d(cfg.x, others, cfg.density)
             scaled[r - start] = cfg.n * mu
         else:
-            pts = _stack_with_center(cfg.x, others)
-            draws = cfg.density.sample(rng, cfg.probes)
-            h = int(np.count_nonzero(NNIndex(pts).query(draws) == 0))
+            h = len(_probe_hits(cfg.x, others, cfg.density, cfg.probes, rng))
             hits[r - start] = h
             scaled[r - start] = cfg.n * h / cfg.probes
     return start, scaled, hits
@@ -251,7 +244,7 @@ def _worker_blocks(total: int, workers: int) -> list[tuple[int, int]]:
 def _map_blocks(fn, args, workers: int):
     if workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as ex:
         return list(ex.map(fn, args))
 
 
@@ -377,13 +370,7 @@ def cone_nn_radii(x, others, directions) -> np.ndarray:
 def _max_pairwise_distance(pts: np.ndarray) -> float:
     if pts.shape[0] < 2:
         return 0.0
-    best = 0.0
-    step = max(1, (1 << 24) // pts.shape[0])
-    for lo in range(0, pts.shape[0], step):
-        block = pts[lo : lo + step]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+    return math.sqrt(max(float(d2.max()) for _, d2 in _sq_dist_blocks(pts, pts)))
 
 
 def estimate_cell_diameter(
@@ -400,11 +387,8 @@ def estimate_cell_diameter(
         raise ValueError("probes must be >= 2")
     x = as_point(x)
     d = x.size
-    pts = _stack_with_center(x, others)
-    draws = model.sample(rng, int(probes))
-    hits = draws[NNIndex(pts).query(draws) == 0]
-    lower = _max_pairwise_distance(hits)
-    radii = cone_nn_radii(x, pts[1:], cone_directions(d))
+    lower = _max_pairwise_distance(_probe_hits(x, others, model, int(probes), rng))
+    radii = cone_nn_radii(x, others, cone_directions(d))
     upper = math.sqrt(d) * float(radii.max())
     return lower, upper
 

@@ -33,7 +33,8 @@ __all__ = [
 
 COMMANDS = ("alpha", "zmoments", "cell", "diam", "unionvol-check")
 
-CSV_HEADER = "command,d,k,n,estimate,stderr,lower_bound,upper_bound,seed,samples,elapsed_ms"
+# a process pool forks all of its workers at once, so the count is bounded
+MAX_WORKERS = 64
 
 # per-command default sample budgets (alpha draws are cheap and exact; the
 # others pay for nested sampling per draw)
@@ -83,6 +84,11 @@ class ResultRow:
     elapsed_ms: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+# every key but command, which the subcommand sets, is also a flag
+_FLAG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "command")
+
+
 def _parse_count(key: str, value: str, line: int) -> int:
     try:
         v = float(value)
@@ -116,11 +122,15 @@ def _apply_key(out: dict, key: str, value: str, line: int) -> None:
         out[key] = value
     elif key in _COUNT_KEYS:
         out[key] = _parse_count(key, value, line)
+        if key == "workers" and out[key] > MAX_WORKERS:
+            raise ConfigError(f"line {line}: key 'workers': at most {MAX_WORKERS}, got {value!r}")
     elif key == "seed":
         try:
             out[key] = int(value)
         except ValueError:
             raise ConfigError(f"line {line}: key 'seed': not an integer: {value!r}") from None
+        if not 0 <= out[key] < 1 << 64:
+            raise ConfigError(f"line {line}: key 'seed': must be in [0, 2**64), got {value!r}")
     elif key == "density":
         try:
             sampling.parse_density(value, dimension=1)
@@ -130,11 +140,7 @@ def _apply_key(out: dict, key: str, value: str, line: int) -> None:
     elif key == "x":
         out[key] = _parse_x(value, line)
     elif key == "n_grid":
-        try:
-            grid = tuple(_parse_count("n_grid", t, line) for t in value.split(","))
-        except ConfigError:
-            raise
-        out[key] = grid
+        out[key] = tuple(_parse_count("n_grid", t, line) for t in value.split(","))
     elif key == "t_grid":
         try:
             out[key] = tuple(float(t) for t in value.split(","))
@@ -152,10 +158,7 @@ def _build_config(mapping: dict) -> ExperimentConfig:
     command = mapping["command"]
     mapping.setdefault("samples", _SAMPLES_DEFAULT.get(command, 1_000_000))
     mapping.setdefault("replicates", _REPLICATES_DEFAULT.get(command, 2000))
-    cfg = ExperimentConfig(**mapping)
-    if cfg.dim < 1:
-        raise ConfigError("line 0: key 'dim': must be >= 1")
-    return cfg
+    return ExperimentConfig(**mapping)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -193,15 +196,21 @@ def _x_array(config: ExperimentConfig) -> np.ndarray | None:
     return x
 
 
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
+
+
 def _run_alpha(config: ExperimentConfig) -> list[ResultRow]:
+    t0 = time.perf_counter()
     est = moments.estimate_alpha_parallel(config.dim, config.samples, config.seed, config.workers)
+    elapsed = _ms_since(t0)
     b = moments.alpha_bounds(config.dim)
     return [
         ResultRow(
             command="alpha", d=config.dim, k=None, n=None,
             estimate=est.value, stderr=est.stderr,
             lower_bound=b.lower, upper_bound=b.upper,
-            seed=config.seed, samples=est.samples, elapsed_ms=est.elapsed_ms,
+            seed=config.seed, samples=est.samples, elapsed_ms=elapsed,
         )
     ]
 
@@ -209,16 +218,18 @@ def _run_alpha(config: ExperimentConfig) -> list[ResultRow]:
 def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for k in range(1, config.k_max + 1):
+        t0 = time.perf_counter()
         est = moments.estimate_z_moment_parallel(
             config.dim, k, config.samples, config.inner_samples, config.seed, config.workers
         )
+        elapsed = _ms_since(t0)
         b = moments.z_moment_bounds(config.dim, k)
         rows.append(
             ResultRow(
                 command="zmoments", d=config.dim, k=k, n=None,
                 estimate=est.value, stderr=est.stderr,
                 lower_bound=b.lower, upper_bound=b.upper,
-                seed=config.seed, samples=est.samples, elapsed_ms=est.elapsed_ms,
+                seed=config.seed, samples=est.samples, elapsed_ms=elapsed,
             )
         )
     return rows
@@ -235,7 +246,7 @@ def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
     except ValueError as e:
         raise ConfigError(f"line 0: {e}") from None
     result = cellsim.run_cell_experiment(cell_cfg)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    elapsed = _ms_since(t0)
     rows = []
     for k in range(1, config.k_max + 1):
         b = moments.z_moment_bounds(config.dim, k)
@@ -261,7 +272,7 @@ def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
     except ValueError as e:
         raise ConfigError(f"line 0: {e}") from None
     result = cellsim.run_diameter_experiment(diam_cfg)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    elapsed = _ms_since(t0)
     rows = []
     for n in config.n_grid:
         ups = result.scaled_upper[n]
@@ -305,8 +316,7 @@ def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
                 estimate=mc.value, stderr=mc.stderr,
                 lower_bound=oracle - 4.0 * mc.stderr,
                 upper_bound=oracle + 4.0 * mc.stderr,
-                seed=config.seed, samples=mc.samples,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                seed=config.seed, samples=mc.samples, elapsed_ms=_ms_since(t0),
             )
         )
     return rows
@@ -340,16 +350,7 @@ def write_csv(rows, path: str | None) -> None:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     for r in rows:
-        buf.write(
-            ",".join(
-                _format_value(v)
-                for v in (
-                    r.command, r.d, r.k, r.n, r.estimate, r.stderr,
-                    r.lower_bound, r.upper_bound, r.seed, r.samples, r.elapsed_ms,
-                )
-            )
-            + "\n"
-        )
+        buf.write(",".join(_format_value(getattr(r, f.name)) for f in fields(ResultRow)) + "\n")
     text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
@@ -360,43 +361,18 @@ def write_csv(rows, path: str | None) -> None:
 
 def rows_from_csv(text: str) -> list[ResultRow]:
     """Parse write_csv output back into rows (inverse modulo 12-digit rounding)."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            ResultRow(
-                command=rec["command"],
-                d=int(rec["d"]),
-                k=int(rec["k"]) if rec["k"] else None,
-                n=int(rec["n"]) if rec["n"] else None,
-                estimate=float(rec["estimate"]),
-                stderr=float(rec["stderr"]),
-                lower_bound=float(rec["lower_bound"]),
-                upper_bound=float(rec["upper_bound"]),
-                seed=int(rec["seed"]),
-                samples=int(rec["samples"]),
-                elapsed_ms=float(rec["elapsed_ms"]),
-            )
-        )
-    return rows
+    # keyed by the annotation text of each ResultRow field
+    parse = {"str": str, "int": int, "float": float, "int | None": lambda v: int(v) if v else None}
+    return [
+        ResultRow(**{f.name: parse[f.type](rec[f.name]) for f in fields(ResultRow)})
+        for rec in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--dim", metavar="D")
-    p.add_argument("--samples", metavar="COUNT")
-    p.add_argument("--inner-samples", dest="inner_samples", metavar="COUNT")
-    p.add_argument("--k-max", dest="k_max", metavar="K")
-    p.add_argument("--n", metavar="COUNT")
-    p.add_argument("--n-grid", dest="n_grid", metavar="N1,N2,...")
-    p.add_argument("--t-grid", dest="t_grid", metavar="T1,T2,...")
-    p.add_argument("--replicates", metavar="COUNT")
-    p.add_argument("--probes", metavar="COUNT")
-    p.add_argument("--density", metavar="SPEC")
-    p.add_argument("--x", metavar="X1,X2,...|origin")
-    p.add_argument("--seed", metavar="INT")
-    p.add_argument("--workers", metavar="COUNT")
-    p.add_argument("--output", metavar="PATH")
+    for key in _FLAG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,10 +399,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         mapping.update(file_cfg)
     if args.command:
         mapping["command"] = args.command
-    for key in (
-        "dim", "samples", "inner_samples", "k_max", "n", "n_grid", "t_grid",
-        "replicates", "probes", "density", "x", "seed", "workers", "output",
-    ):
+    for key in _FLAG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             _apply_key(mapping, key, value, 0)

@@ -16,7 +16,7 @@ from scipy.special import betainc
 
 __all__ = [
     "Ball",
-    "VolumeEstimate",
+    "Estimate",
     "as_point",
     "unit_ball_volume",
     "ball_intersection_volume",
@@ -79,8 +79,8 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class VolumeEstimate:
-    """Monte Carlo volume estimate with its standard error and sample count."""
+class Estimate:
+    """Monte Carlo estimate with its standard error and sample count."""
 
     value: float
     stderr: float
@@ -196,7 +196,7 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
     return values
 
 
-def union_volume_mc(balls, samples: int, rng) -> VolumeEstimate:
+def union_volume_mc(balls, samples: int, rng) -> Estimate:
     """Unbiased mixture-estimator Monte Carlo for the volume of a ball union.
 
     Parameters
@@ -224,10 +224,10 @@ def union_volume_mc(balls, samples: int, rng) -> VolumeEstimate:
     values = union_volume_mc_values(centers, radii, m, rng)[0]
     if np.all(values == values[0]):
         # constant draws (single ball, or all radii zero): exact, no noise
-        return VolumeEstimate(value=float(values[0]), stderr=0.0, samples=m)
+        return Estimate(value=float(values[0]), stderr=0.0, samples=m)
     value = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return VolumeEstimate(value=value, stderr=stderr, samples=m)
+    return Estimate(value=value, stderr=stderr, samples=m)
 
 
 def interval_union_length(intervals) -> float:

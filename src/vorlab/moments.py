@@ -9,17 +9,16 @@ itself is Monte Carlo estimated (k >= 3).
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import Estimate
 from .sampling import RandomStream
 from .wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
 
 __all__ = [
-    "Estimate",
     "MomentBounds",
     "MAX_FACTORIAL_K",
     "estimate_alpha",
@@ -39,17 +38,6 @@ MAX_FACTORIAL_K = 20
 
 _W_CHUNK = 1 << 20
 _OUTER_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Monte Carlo estimate with standard error and seed provenance."""
-
-    value: float
-    stderr: float
-    samples: int
-    seed: int
-    elapsed_ms: float
 
 
 @dataclass(frozen=True)
@@ -82,17 +70,11 @@ def _merge_sums(parts) -> tuple[float, float, int]:
     return s, s2, n
 
 
-def _finish(s: float, s2: float, n: int, seed: int, t0: float) -> Estimate:
+def _finish(s: float, s2: float, n: int) -> Estimate:
     mean = s / n
     var = max(s2 / n - mean * mean, 0.0)
     stderr = math.sqrt(var / (n - 1)) if n > 1 else 0.0
-    return Estimate(
-        value=mean,
-        stderr=stderr,
-        samples=n,
-        seed=seed,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return Estimate(value=mean, stderr=stderr, samples=n)
 
 
 def _alpha_sums(args) -> tuple[float, float, int]:
@@ -118,9 +100,7 @@ def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    t0 = time.perf_counter()
-    s, s2, n = _alpha_sums((d, int(samples), rng.seed, rng.stream_index))
-    return _finish(s, s2, n, rng.seed, t0)
+    return _finish(*_alpha_sums((d, int(samples), rng.seed, rng.stream_index)))
 
 
 def _shard_sizes(total: int, workers: int) -> list[int]:
@@ -131,7 +111,7 @@ def _shard_sizes(total: int, workers: int) -> list[int]:
 def _map_shards(fn, arglist, workers: int):
     if workers <= 1:
         return [fn(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as ex:
         return list(ex.map(fn, arglist))
 
 
@@ -145,12 +125,9 @@ def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1) -
         raise ValueError("samples must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    t0 = time.perf_counter()
     shards = _shard_sizes(int(samples), workers)
     args = [(d, c, seed, i) for i, c in enumerate(shards) if c > 0]
-    parts = _map_shards(_alpha_sums, args, workers)
-    s, s2, n = _merge_sums(parts)
-    return _finish(s, s2, n, seed, t0)
+    return _finish(*_merge_sums(_map_shards(_alpha_sums, args, workers)))
 
 
 def alpha_closed_form_d1() -> float:
@@ -207,20 +184,16 @@ def estimate_z_moment(
     """
     _factorial(k)
     if k == 1:
-        return Estimate(value=1.0, stderr=0.0, samples=int(outer),
-                        seed=rng.seed if rng is not None else 0, elapsed_ms=0.0)
+        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
     if rng is None:
         raise ValueError("a random stream is required for k >= 2")
     if outer < 2:
         raise ValueError("outer must be >= 2")
-    t0 = time.perf_counter()
     if k == 2:
-        s, s2, n = _alpha_sums((d, int(outer), rng.seed, rng.stream_index))
-        return _finish(s, s2, n, rng.seed, t0)
+        return _finish(*_alpha_sums((d, int(outer), rng.seed, rng.stream_index)))
     if inner < 2:
         raise ValueError("inner must be >= 2 when k >= 3")
-    s, s2, n = _zmoment_sums((d, k, int(outer), int(inner), rng.seed, rng.stream_index))
-    return _finish(s, s2, n, rng.seed, t0)
+    return _finish(*_zmoment_sums((d, k, int(outer), int(inner), rng.seed, rng.stream_index)))
 
 
 def estimate_z_moment_parallel(
@@ -234,12 +207,11 @@ def estimate_z_moment_parallel(
     """Worker-sharded version of estimate_z_moment (fixed-order merge)."""
     _factorial(k)
     if k == 1:
-        return Estimate(value=1.0, stderr=0.0, samples=int(outer), seed=seed, elapsed_ms=0.0)
+        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
     if outer < 2:
         raise ValueError("outer must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    t0 = time.perf_counter()
     shards = _shard_sizes(int(outer), workers)
     if k == 2:
         args = [(d, c, seed, i) for i, c in enumerate(shards) if c > 0]
@@ -249,8 +221,7 @@ def estimate_z_moment_parallel(
             raise ValueError("inner must be >= 2 when k >= 3")
         args = [(d, k, c, int(inner), seed, i) for i, c in enumerate(shards) if c > 0]
         parts = _map_shards(_zmoment_sums, args, workers)
-    s, s2, n = _merge_sums(parts)
-    return _finish(s, s2, n, seed, t0)
+    return _finish(*_merge_sums(parts))
 
 
 def z_moment_bounds(d: int, k: int) -> MomentBounds:

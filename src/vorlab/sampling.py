@@ -23,13 +23,8 @@ __all__ = [
     "gaussian",
     "uniform_cube",
     "parse_density",
-    "sample_unit_ball",
     "sample_unit_ball_batch",
-    "density_sample",
-    "density_ball_measure",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 # randomized QMC budget for the cube ball-measure: 16 scrambles x 2^13 nodes
 _QMC_REPLICATES = 16
@@ -43,7 +38,7 @@ class RandomStream:
     Streams with equal (seed, stream_index) produce identical sequences;
     distinct stream indices give statistically independent streams, which is
     what makes deterministic parallel estimation possible.  Each stream is
-    single-owner: hand workers their own instances.
+    single-owner: hand workers their own instances.  Seeds must be >= 0.
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
@@ -52,9 +47,7 @@ class RandomStream:
         self.seed = int(seed)
         self.stream_index = int(stream_index)
         self.position = 0
-        ss = np.random.SeedSequence(
-            entropy=self.seed & _MASK64, spawn_key=(self.stream_index,)
-        )
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def __repr__(self):
@@ -77,11 +70,6 @@ class RandomStream:
         self.position += self._count(size)
         return self._gen.standard_normal(size)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        """Underlying numpy generator (draws made here bypass the counter)."""
-        return self._gen
-
 
 def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     """n points uniform in the unit ball: gaussian direction, radius U^(1/d)."""
@@ -90,11 +78,6 @@ def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     g = rng.standard_normal((n, d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return g * (rng.random(n) ** (1.0 / d))[:, None]
-
-
-def sample_unit_ball(d: int, rng: RandomStream) -> np.ndarray:
-    """One point uniform in the unit ball of dimension d."""
-    return sample_unit_ball_batch(d, 1, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -121,21 +104,15 @@ class DensityModel:
         if self.kind == "uniform-cube" and not self.side > 0:
             raise ValueError("uniform-cube side must be > 0")
 
-    @property
-    def ball_measure_mode(self) -> str:
-        return "numeric" if self.kind == "uniform-cube" else "exact"
-
-    def sample(self, rng: RandomStream, size: int | None = None) -> np.ndarray:
-        """Draw points with this law; shape (size, d), or (d,) when size is None."""
-        n = 1 if size is None else int(size)
+    def sample(self, rng: RandomStream, size: int) -> np.ndarray:
+        """Draw size points with this law; shape (size, d)."""
+        n = int(size)
         d = self.dimension
         if self.kind == "uniform-ball":
-            pts = self.radius * sample_unit_ball_batch(d, n, rng)
-        elif self.kind == "gaussian":
-            pts = rng.standard_normal((n, d))
-        else:
-            pts = self.side * (rng.random((n, d)) - 0.5)
-        return pts if size is not None else pts[0]
+            return self.radius * sample_unit_ball_batch(d, n, rng)
+        if self.kind == "gaussian":
+            return rng.standard_normal((n, d))
+        return self.side * (rng.random((n, d)) - 0.5)
 
     def support_contains(self, x) -> bool:
         x = as_point(x)
@@ -153,7 +130,7 @@ class DensityModel:
         if center.size != self.dimension:
             raise ValueError("center dimension does not match the model")
         radii = np.asarray(radii, dtype=float)
-        if np.any(radii < 0):
+        if not np.all(radii >= 0):
             raise ValueError("radius must be >= 0")
         d = self.dimension
         if self.kind == "uniform-ball":
@@ -174,9 +151,6 @@ class DensityModel:
         out = np.array(scalars)
         return out if radii.ndim else out[0]
 
-    def ball_measure(self, center, radius: float) -> float:
-        return float(self.ball_measure_batch(center, float(radius)))
-
     def ball_measure_with_error(self, center, radius: float) -> tuple[float, float]:
         """Ball measure plus its numerical error estimate (0 for exact modes)."""
         if self.kind == "uniform-cube":
@@ -185,7 +159,7 @@ class DensityModel:
             if not np.isfinite(radius):
                 return 1.0, 0.0
             return self._cube_measure(as_point(center), float(radius))
-        return self.ball_measure(center, radius), 0.0
+        return float(self.ball_measure_batch(center, float(radius))), 0.0
 
     def _cube_measure(self, center: np.ndarray, radius: float) -> tuple[float, float]:
         # fraction of the cube inside the ball, over independently scrambled
@@ -266,14 +240,3 @@ def parse_density(spec: str, dimension: int) -> DensityModel:
         " or uniform-cube:side=<real>"
     )
 
-
-def density_sample(model: DensityModel, rng: RandomStream) -> np.ndarray:
-    """One draw with law mu."""
-    return model.sample(rng)
-
-
-def density_ball_measure(model: DensityModel, center, radius: float) -> float:
-    """mu(B(center, radius)) under the model's oracle."""
-    if not radius >= 0:
-        raise ValueError("radius must be >= 0")
-    return model.ball_measure(center, radius)

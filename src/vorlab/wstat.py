@@ -10,40 +10,19 @@ back to the mixture Monte Carlo estimator.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import (
-    as_point,
-    ball_intersection_volumes,
-    union_volume_mc_values,
-    unit_ball_volume,
-)
-from .sampling import RandomStream, sample_unit_ball, sample_unit_ball_batch
+from .geometry import ball_intersection_volumes, union_volume_mc_values, unit_ball_volume
+from .sampling import RandomStream, sample_unit_ball_batch
 
 __all__ = [
-    "WkSample",
     "DEFAULT_INNER_SAMPLES",
-    "w_given_center",
-    "sample_w",
+    "w_from_centers",
     "sample_w_batch",
-    "sample_wk",
     "wk_mc_values",
 ]
 
 DEFAULT_INNER_SAMPLES = 4096
-
-
-@dataclass(frozen=True)
-class WkSample:
-    """One draw of the order-k normalized union volume (stderr 0 when exact)."""
-
-    k: int
-    d: int
-    value: float
-    stderr: float
 
 
 def _e1(d: int) -> np.ndarray:
@@ -52,39 +31,25 @@ def _e1(d: int) -> np.ndarray:
     return e
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    # explicit sqrt-of-sum keeps the scalar and batch paths bit-identical
-    # (np.linalg.norm routes 1-d vectors through a different accumulation)
-    return np.sqrt((a * a).sum(axis=-1))
-
-
-def _w_from_centers(y: np.ndarray) -> np.ndarray:
-    """Exact W values for the rows of an (n, d) center matrix."""
+def w_from_centers(y) -> np.ndarray:
+    """Exact normalized volumes of B(e1, 1) ∪ B(y, ||y||) for the rows y of an
+    (n, d) center matrix."""
+    y = np.asarray(y, dtype=float)
     d = y.shape[1]
-    ny = _row_norms(y)
+    ny = np.linalg.norm(y, axis=1)
     shifted = y.copy()
     shifted[:, 0] -= 1.0
-    dist = _row_norms(shifted)
+    dist = np.linalg.norm(shifted, axis=1)
     v = unit_ball_volume(d)
     inter = ball_intersection_volumes(d, 1.0, ny, dist)
     return (v + (v * ny**d - inter)) / v
-
-
-def w_given_center(y) -> float:
-    """Exact normalized volume of B(e1, 1) ∪ B(y, ||y||) for a fixed center y."""
-    return float(_w_from_centers(as_point(y)[None, :])[0])
 
 
 def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     """n independent draws of the two-ball normalized union volume, exactly."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _w_from_centers(sample_unit_ball_batch(d, n, rng))
-
-
-def sample_w(d: int, rng: RandomStream) -> float:
-    """One exact draw; the result always lies in [1, 2]."""
-    return w_given_center(sample_unit_ball(d, rng))
+    return w_from_centers(sample_unit_ball_batch(d, n, rng))
 
 
 def wk_mc_values(
@@ -110,32 +75,3 @@ def wk_mc_values(
     v = unit_ball_volume(d)
     return union_volume_mc_values(centers, radii, inner_samples, rng) / v
 
-
-def sample_wk(
-    d: int,
-    k: int,
-    inner_samples: int = DEFAULT_INNER_SAMPLES,
-    rng: RandomStream | None = None,
-) -> WkSample:
-    """One draw of the order-k normalized union volume.
-
-    k = 1 is identically 1 and k = 2 is computed by the exact two-ball
-    formula, both with stderr 0; k >= 3 uses inner_samples mixture-estimator
-    draws and reports the propagated standard error.
-    """
-    if d < 1 or k < 1:
-        raise ValueError("d and k must be >= 1")
-    if k == 1:
-        return WkSample(k=1, d=d, value=1.0, stderr=0.0)
-    if rng is None:
-        raise ValueError("a random stream is required for k >= 2")
-    if k == 2:
-        return WkSample(k=2, d=d, value=sample_w(d, rng), stderr=0.0)
-    values = wk_mc_values(d, k, 1, inner_samples, rng)[0]
-    value = float(values.mean())
-    stderr = (
-        float(values.std(ddof=1) / math.sqrt(inner_samples))
-        if inner_samples > 1
-        else 0.0
-    )
-    return WkSample(k=k, d=d, value=value, stderr=stderr)

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vorlab.cellsim import (
+    _BLOCK_ELEMENTS,
     CONE_HALF_APERTURE,
     CellExperimentConfig,
     DiameterExperimentConfig,
     NNIndex,
-    build_nn_index,
+    _max_pairwise_distance,
     cone_directions,
     cone_nn_radii,
     estimate_cell_diameter,
@@ -25,7 +27,7 @@ from oracles import d1_cell_interval
 
 class TestNNIndex:
     def test_single_point(self):
-        idx = build_nn_index([[0.0, 0.0]])
+        idx = NNIndex([[0.0, 0.0]])
         assert np.all(idx.query([[3.0, 1.0], [0.0, 0.0]]) == 0)
 
     def test_query_at_data_points(self):
@@ -57,6 +59,19 @@ class TestNNIndex:
         for method in ("brute", "kdtree"):
             assert NNIndex(pts, method).query([[0.0]]).tolist() == [0]
 
+    def test_brute_memory_bounded_per_block(self):
+        # blocks are sized by n * d, so a (block, n, d) difference array
+        # never exceeds the block budget, whatever d is
+        pts = np.random.default_rng(6).standard_normal((2000, 8))
+        for run in (lambda: NNIndex(pts, "brute").query(pts), lambda: _max_pairwise_distance(pts)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * _BLOCK_ELEMENTS * 8
+
     def test_repeated_runs_identical(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((200, 2))
@@ -67,7 +82,7 @@ class TestNNIndex:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            build_nn_index(np.zeros((0, 2)))
+            NNIndex(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             NNIndex([[0.0]], method="octree")
         with pytest.raises(ValueError):
@@ -161,13 +176,18 @@ class TestRunCellExperiment:
         assert set(res.empirical_moments) == {1, 2, 3}
 
     def test_exact_mode_matches_probe_mode_law(self):
-        base = dict(density=uniform_ball(1), n=500, replicates=600, probes=4000, seed=9)
-        probe = run_cell_experiment(CellExperimentConfig(**base))
-        exact = run_cell_experiment(CellExperimentConfig(**base, measure_mode="exact"))
-        for k in (1, 2):
-            diff = abs(probe.empirical_moments[k] - exact.empirical_moments[k])
-            tol = 4 * math.hypot(probe.moment_stderrs[k], exact.moment_stderrs[k])
-            assert diff <= tol
+        for n in (500, 1):
+            base = dict(density=uniform_ball(1), n=n, replicates=600, probes=4000, seed=9)
+            probe = run_cell_experiment(CellExperimentConfig(**base))
+            exact = run_cell_experiment(CellExperimentConfig(**base, measure_mode="exact"))
+            for k in (1, 2):
+                diff = abs(probe.empirical_moments[k] - exact.empirical_moments[k])
+                tol = 4 * math.hypot(probe.moment_stderrs[k], exact.moment_stderrs[k])
+                assert diff <= tol
+            if n == 1:
+                # a lone center owns the whole support
+                assert np.all(probe.scaled_measures == 1.0)
+                assert np.all(exact.scaled_measures == 1.0)
 
     def test_worker_invariance(self):
         base = dict(density=uniform_ball(2), n=150, replicates=120, probes=400, seed=10)
@@ -326,15 +346,18 @@ class TestRunDiameterExperiment:
         )
         assert abs(got.mean() - oracle_vals.mean()) <= 4 * se
 
-    def test_worker_invariance(self):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_worker_invariance(self, d):
         base = dict(
-            density=uniform_ball(1), n_grid=(100, 200), replicates=60, probes=100, seed=18
+            density=uniform_ball(d), n_grid=(1, 100, 200), replicates=60, probes=100, seed=18
         )
         one = run_diameter_experiment(DiameterExperimentConfig(**base, workers=1))
         four = run_diameter_experiment(DiameterExperimentConfig(**base, workers=4))
-        for n in (100, 200):
+        for n in (1, 100, 200):
             assert np.array_equal(one.scaled_upper[n], four.scaled_upper[n])
             assert np.array_equal(one.scaled_lower[n], four.scaled_lower[n])
+        # with no other points every cone is empty
+        assert np.all(np.isinf(one.scaled_upper[1]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from vorlab.cli import (
     COMMANDS,
     CSV_HEADER,
+    MAX_WORKERS,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -89,6 +93,26 @@ class TestParseConfig:
         cfg = parse_config("command=diam n_grid=100,1000 t_grid=0.5,1,2")
         assert cfg.n_grid == (100, 1000)
         assert cfg.t_grid == (0.5, 1.0, 2.0)
+
+    def test_seed_range(self):
+        assert parse_config("command=alpha seed=0").seed == 0
+        assert parse_config(f"command=alpha seed={2**64 - 1}").seed == 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                parse_config(f"command=alpha seed={bad}")
+
+    def test_workers_cap(self):
+        # the cap is fixed, not the core count of the machine reading the config
+        assert parse_config(f"command=alpha workers={MAX_WORKERS}").workers == MAX_WORKERS
+        with pytest.raises(ConfigError, match="workers"):
+            parse_config(f"command=alpha workers={MAX_WORKERS + 1}")
+        with pytest.raises(ConfigError, match="workers"):
+            parse_config("command=alpha workers=1e5")
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listing = re.search(r"Keys:(.*?)\.", readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", listing) == [f.name for f in fields(ExperimentConfig)]
 
 
 class TestRenderRoundTrip:

@@ -7,11 +7,8 @@ from scipy.stats import kstest
 from vorlab.sampling import (
     DensityModel,
     RandomStream,
-    density_ball_measure,
-    density_sample,
     gaussian,
     parse_density,
-    sample_unit_ball,
     sample_unit_ball_batch,
     uniform_ball,
     uniform_cube,
@@ -45,6 +42,11 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0, -1)
 
+    def test_negative_seed_rejected(self):
+        # not silently an alias of seed + 2**64
+        with pytest.raises(ValueError):
+            RandomStream(-1)
+
 
 class TestSampleUnitBall:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -66,8 +68,8 @@ class TestSampleUnitBall:
         assert np.all(np.abs(pts.mean(axis=0)) <= 4 * sigma)
 
     def test_single_draw_shape(self):
-        y = sample_unit_ball(4, RandomStream(4))
-        assert y.shape == (4,) and np.linalg.norm(y) <= 1.0
+        y = sample_unit_ball_batch(4, 1, RandomStream(4))
+        assert y.shape == (1, 4) and np.linalg.norm(y) <= 1.0
 
 
 class TestDensitySampling:
@@ -87,8 +89,8 @@ class TestDensitySampling:
         assert abs(pts.mean()) <= 4 / math.sqrt(100_000)
 
     def test_density_sample_single(self):
-        y = density_sample(uniform_ball(2), RandomStream(8))
-        assert y.shape == (2,)
+        y = uniform_ball(2).sample(RandomStream(8), 1)
+        assert y.shape == (1, 2)
 
     def test_support_contains(self):
         assert uniform_ball(2).support_contains([0.5, 0.5])
@@ -125,16 +127,16 @@ class TestBallMeasure:
         for d in (1, 2, 3, 6):
             m = uniform_ball(d)
             for r in (0.0, 0.25, 0.5, 1.0):
-                assert density_ball_measure(m, np.zeros(d), r) == pytest.approx(r**d, abs=1e-14)
+                assert m.ball_measure_batch(np.zeros(d), r) == pytest.approx(r**d, abs=1e-14)
 
     def test_huge_radius_is_one(self):
         for m in (uniform_ball(2), gaussian(2), uniform_cube(2)):
-            assert density_ball_measure(m, [0.1, 0.0], 1e9) == pytest.approx(1.0, abs=1e-9)
-            assert m.ball_measure([0.1, 0.0], math.inf) == 1.0
+            assert m.ball_measure_batch([0.1, 0.0], 1e9) == pytest.approx(1.0, abs=1e-9)
+            assert m.ball_measure_batch([0.1, 0.0], math.inf) == 1.0
 
     def test_gaussian_d1_unit_radius(self):
         m = gaussian(1)
-        got = density_ball_measure(m, [0.0], 1.0)
+        got = m.ball_measure_batch([0.0], 1.0)
         oracle = gaussian_ball_measure_quad(1, 0.0, 1.0)
         assert oracle == pytest.approx(GAUSS_D1_R1, abs=1e-12)
         assert got == pytest.approx(GAUSS_D1_R1, abs=1e-10)
@@ -143,13 +145,13 @@ class TestBallMeasure:
         for d, a, r in [(2, 0.7, 1.3), (3, 1.5, 0.8), (1, 0.4, 2.0)]:
             center = np.zeros(d)
             center[0] = a
-            got = density_ball_measure(gaussian(d), center, r)
+            got = gaussian(d).ball_measure_batch(center, r)
             assert got == pytest.approx(gaussian_ball_measure_quad(d, a, r), abs=1e-9)
 
     def test_uniform_ball_off_center_vs_quadrature(self):
         m = uniform_ball(3, radius=1.2)
         center = np.array([0.6, 0.0, 0.0])
-        got = density_ball_measure(m, center, 0.9)
+        got = m.ball_measure_batch(center, 0.9)
         lens, err = lens_volume_quad(3, 1.2, 0.9, 0.6)
         support = 1.2**3 * 4 * math.pi / 3
         assert got == pytest.approx(lens / support, abs=max(1e-10, 10 * err))
@@ -169,8 +171,10 @@ class TestBallMeasure:
         assert v == pytest.approx(oracle, abs=max(4 * err, 1e-3))
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            density_ball_measure(uniform_ball(1), [0.0], -0.5)
+        for m in (uniform_ball(1), gaussian(1), uniform_cube(1)):
+            for bad in (-0.5, math.nan):
+                with pytest.raises(ValueError):
+                    m.ball_measure_batch([0.0], [0.5, bad])
 
     def test_monotone_in_radius_exact_models(self):
         rng = np.random.default_rng(20)
@@ -178,14 +182,14 @@ class TestBallMeasure:
             center = np.array([0.4, -0.1])
             for _ in range(30):
                 r1, r2 = np.sort(rng.uniform(0, 2.5, 2))
-                assert m.ball_measure(center, r1) <= m.ball_measure(center, r2)
+                assert m.ball_measure_batch(center, r1) <= m.ball_measure_batch(center, r2)
 
     def test_monotone_in_radius_cube(self):
         # fixed QMC node set makes the numeric estimate exactly monotone
         m = uniform_cube(2, side=2.0)
         center = np.array([0.3, 0.3])
-        vals = [m.ball_measure(center, r) for r in (0.2, 0.5, 0.9, 1.4, 2.5)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        vals = m.ball_measure_batch(center, [0.2, 0.5, 0.9, 1.4, 2.5])
+        assert np.all(np.diff(vals) >= 0)
 
 
 class TestProbabilityIntegralTransform:

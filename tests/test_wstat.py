@@ -5,53 +5,33 @@ import pytest
 from scipy.stats import kstest
 
 from vorlab.geometry import Ball, interval_union_length, union_volume_mc
+from vorlab.moments import estimate_z_moment
 from vorlab.sampling import RandomStream, sample_unit_ball_batch
-from vorlab.wstat import (
-    sample_w,
-    sample_w_batch,
-    sample_wk,
-    w_given_center,
-    wk_mc_values,
-)
+from vorlab.wstat import sample_w_batch, w_from_centers, wk_mc_values
 
 
 class TestWGivenCenter:
     def test_d1_right_half_is_one(self):
         # the random ball is swallowed by the fixed one for y >= 0
-        assert w_given_center([0.5]) == 1.0
-        assert w_given_center([0.25]) == 1.0
+        assert w_from_centers([[0.5], [0.25]]).tolist() == [1.0, 1.0]
 
     def test_d1_left_half_is_one_plus_u(self):
-        assert w_given_center([-0.5]) == 1.5
-        assert w_given_center([-0.8]) == pytest.approx(1.8, abs=1e-15)
+        w = w_from_centers([[-0.5], [-0.8]])
+        assert w[0] == 1.5
+        assert w[1] == pytest.approx(1.8, abs=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_zero_center_is_one(self, d):
-        assert w_given_center(np.zeros(d)) == 1.0
+        assert w_from_centers(np.zeros((1, d)))[0] == 1.0
 
     def test_matches_batch_formula(self):
-        # scalar and batch paths share the kernel: identical values for identical y
-        rng = RandomStream(31)
-        ys = sample_unit_ball_batch(3, 200, rng)
-        batch = _w_from_points(ys)
-        scalar = np.array([w_given_center(y) for y in ys])
-        assert np.array_equal(batch, scalar)
-
-
-def _w_from_points(ys):
-    """Batch W evaluation on a fixed set of centers (mirrors sample_w_batch)."""
-    from vorlab.geometry import ball_intersection_volumes, unit_ball_volume
-    from vorlab.wstat import _row_norms
-
-    ys = np.array(ys, dtype=float)
-    d = ys.shape[1]
-    ny = _row_norms(ys)
-    shifted = ys.copy()
-    shifted[:, 0] -= 1.0
-    dist = _row_norms(shifted)
-    v = unit_ball_volume(d)
-    inter = ball_intersection_volumes(d, 1.0, ny, dist)
-    return (v + (v * ny**d - inter)) / v
+        # each row's value does not depend on the batch it is evaluated in,
+        # and the sampler is the kernel applied to its own center draws
+        ys = sample_unit_ball_batch(3, 200, RandomStream(31))
+        batch = w_from_centers(ys)
+        rows = np.array([w_from_centers(y[None, :])[0] for y in ys])
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(batch, sample_w_batch(3, 200, RandomStream(31)))
 
 
 class TestSampleW:
@@ -69,19 +49,21 @@ class TestSampleW:
         assert kstest(cond, "uniform").statistic < 0.02
 
     def test_scalar_draw(self):
-        w = sample_w(2, RandomStream(34))
-        assert 1.0 <= w <= 2.0
+        w = sample_w_batch(2, 1, RandomStream(34))
+        assert w.shape == (1,) and 1.0 <= w[0] <= 2.0
 
 
 class TestSampleWk:
+    """Order-k union volumes: exact for k <= 2, mixture Monte Carlo beyond."""
+
     def test_k1_exact(self):
-        s = sample_wk(3, 1)
-        assert s.value == 1.0 and s.stderr == 0.0
+        e = estimate_z_moment(3, 1, outer=10)
+        assert e.value == 1.0 and e.stderr == 0.0
 
     def test_k2_exact(self):
-        s = sample_wk(2, 2, rng=RandomStream(35))
-        assert s.stderr == 0.0
-        assert 1.0 <= s.value <= 2.0
+        # order 2 is the exact two-ball sampler
+        w = sample_w_batch(2, 1, RandomStream(35))
+        assert 1.0 <= w[0] <= 2.0
 
     def test_k3_d1_fixed_centers_vs_interval_sweep(self):
         # centers -0.5 and -0.8: union [0,2] u [-1,0] u [-1.6,0] has length 3.6,
@@ -94,18 +76,20 @@ class TestSampleWk:
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (2, 4), (3, 5)])
     def test_value_below_cap(self, d, k):
-        s = sample_wk(d, k, inner_samples=2048, rng=RandomStream(37, k))
-        assert 1.0 - 4 * s.stderr <= s.value <= 2.0**d + 4 * s.stderr
+        values = wk_mc_values(d, k, 1, 2048, RandomStream(37, k))[0]
+        value = values.mean()
+        stderr = values.std(ddof=1) / math.sqrt(values.size)
+        assert 1.0 - 4 * stderr <= value <= 2.0**d + 4 * stderr
 
     def test_requires_stream(self):
         with pytest.raises(ValueError):
-            sample_wk(1, 2)
+            estimate_z_moment(1, 2, outer=10)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            sample_wk(0, 1)
+            sample_w_batch(0, 1, RandomStream(0))
         with pytest.raises(ValueError):
-            sample_wk(1, 3, inner_samples=0, rng=RandomStream(0))
+            wk_mc_values(1, 3, 1, 0, RandomStream(0))
 
 
 class TestCoupledMonotonicity:
@@ -114,7 +98,7 @@ class TestCoupledMonotonicity:
         rng = RandomStream(38)
         d = 2
         ys = sample_unit_ball_batch(d, 3, rng)
-        w2 = w_given_center(ys[0])
+        w2 = w_from_centers(ys[:1])[0]
         assert 1.0 <= w2
         prev = w2
         for k in (3, 4):
