@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from .geometry import Estimate, as_point
-from .sampling import DensityModel, RandomStream
+from .sampling import DensityModel, RandomStream, shard_ranges
 
 __all__ = [
     "NNIndex",
@@ -187,7 +187,7 @@ class CellExperimentConfig:
     def __post_init__(self):
         x = np.zeros(self.density.dimension) if self.x is None else as_point(self.x)
         object.__setattr__(self, "x", x)
-        if self.n < 1 or self.replicates < 1 or self.probes < 1 or self.k_max < 1:
+        if min(self.n, self.replicates, self.probes, self.k_max, self.workers) < 1:
             raise ValueError("counts must be >= 1")
         if self.measure_mode not in ("probe", "exact"):
             raise ValueError(f"unknown measure_mode {self.measure_mode!r}")
@@ -220,28 +220,24 @@ def _falling(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cell_block(args):
-    cfg, start, stop = args
-    scaled = np.empty(stop - start)
-    hits = np.empty(stop - start, dtype=np.intp) if cfg.measure_mode == "probe" else None
-    for r in range(start, stop):
+    cfg, streams = args
+    scaled = np.empty(len(streams))
+    hits = np.empty(len(streams), dtype=np.intp) if cfg.measure_mode == "probe" else None
+    for j, r in enumerate(streams):
         rng = RandomStream(cfg.seed, r)
         others = cfg.density.sample(rng, cfg.n - 1)
         if cfg.measure_mode == "exact":
             mu = exact_cell_measure_1d(cfg.x, others, cfg.density)
-            scaled[r - start] = cfg.n * mu
+            scaled[j] = cfg.n * mu
         else:
             h = len(_probe_hits(cfg.x, others, cfg.density, cfg.probes, rng))
-            hits[r - start] = h
-            scaled[r - start] = cfg.n * h / cfg.probes
-    return start, scaled, hits
-
-
-def _worker_blocks(total: int, workers: int) -> list[tuple[int, int]]:
-    step = math.ceil(total / max(workers, 1))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+            hits[j] = h
+            scaled[j] = cfg.n * h / cfg.probes
+    return scaled, hits
 
 
 def _map_blocks(fn, args, workers: int):
+    """fn over args, in a pool when workers > 1; results come in task order."""
     if workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=min(workers, len(args))) as ex:
@@ -260,11 +256,10 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
     mode.
     """
     cfg = config
-    blocks = _worker_blocks(cfg.replicates, cfg.workers)
-    parts = _map_blocks(_cell_block, [(cfg, lo, hi) for lo, hi in blocks], cfg.workers)
-    parts.sort(key=lambda p: p[0])
-    scaled = np.concatenate([p[1] for p in parts])
-    hits = np.concatenate([p[2] for p in parts]) if cfg.measure_mode == "probe" else None
+    blocks = shard_ranges(cfg.replicates, cfg.workers)
+    parts = _map_blocks(_cell_block, [(cfg, b) for b in blocks], cfg.workers)
+    scaled = np.concatenate([p[0] for p in parts])
+    hits = np.concatenate([p[1] for p in parts]) if cfg.measure_mode == "probe" else None
 
     moments: dict[int, float] = {}
     stderrs: dict[int, float] = {}
@@ -343,6 +338,8 @@ def cone_directions(d: int) -> np.ndarray:
             if covered.all():
                 break
             dirs = np.vstack([dirs, v[~covered][:1]])
+        else:
+            raise ValueError(f"no complete cone cover of R^{d} after 64 repair rounds")
     dirs.setflags(write=False)
     return dirs
 
@@ -413,7 +410,7 @@ class DiameterExperimentConfig:
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be a nonempty increasing sequence")
-        if min(self.n_grid) < 1 or self.replicates < 1 or self.probes < 2:
+        if min(*self.n_grid, self.replicates, self.workers) < 1 or self.probes < 2:
             raise ValueError("counts must be positive (probes >= 2)")
         if not self.density.support_contains(self.x):
             raise ValueError("conditioning point x lies outside the support")
@@ -440,39 +437,35 @@ class DiameterResult:
 
 
 def _diam_block(args):
-    cfg, n, base, start, stop = args
-    lows = np.empty(stop - start)
-    ups = np.empty(stop - start)
-    for r in range(start, stop):
-        rng = RandomStream(cfg.seed, base + r)
+    cfg, n, streams = args
+    brackets = np.empty((2, len(streams)))  # lower and upper estimates
+    for j, r in enumerate(streams):
+        rng = RandomStream(cfg.seed, r)
         others = cfg.density.sample(rng, n - 1)
-        lo, up = estimate_cell_diameter(cfg.x, others, cfg.density, cfg.probes, rng)
-        lows[r - start] = lo
-        ups[r - start] = up
-    return start, lows, ups
+        brackets[:, j] = estimate_cell_diameter(cfg.x, others, cfg.density, cfg.probes, rng)
+    return brackets
 
 
 def run_diameter_experiment(config: DiameterExperimentConfig) -> DiameterResult:
     """Estimate the n^(-1/d) diameter scaling over the configured n grid.
 
     Replicate r of grid entry i uses stream (seed, i * replicates + r), so
-    results do not depend on the worker count.
+    results do not depend on the worker count.  The blocks of every grid
+    entry go through one pool.
     """
     cfg = config
     d = cfg.density.dimension
+    R = cfg.replicates
+    blocks = shard_ranges(R, cfg.workers)
+    tasks = [(cfg, n, range(i * R + b.start, i * R + b.stop))
+             for i, n in enumerate(cfg.n_grid) for b in blocks]
+    parts = _map_blocks(_diam_block, tasks, cfg.workers)
     scaled_lower: dict[int, np.ndarray] = {}
     scaled_upper: dict[int, np.ndarray] = {}
     quantiles: dict[int, dict[float, tuple[float, float]]] = {}
     exceedance: dict[int, np.ndarray] = {}
     for i, n in enumerate(cfg.n_grid):
-        base = i * cfg.replicates
-        blocks = _worker_blocks(cfg.replicates, cfg.workers)
-        parts = _map_blocks(
-            _diam_block, [(cfg, n, base, lo, hi) for lo, hi in blocks], cfg.workers
-        )
-        parts.sort(key=lambda p: p[0])
-        lows = np.concatenate([p[1] for p in parts])
-        ups = np.concatenate([p[2] for p in parts])
+        lows, ups = np.concatenate(parts[i * len(blocks) : (i + 1) * len(blocks)], axis=1)
         scale = n ** (1.0 / d)
         lows *= scale
         ups *= scale

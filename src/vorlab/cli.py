@@ -276,11 +276,15 @@ def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for n in config.n_grid:
         ups = result.scaled_upper[n]
+        mean = float(np.mean(ups))
+        if math.isinf(mean):
+            stderr = math.inf  # np.std of infinite values is nan
+        else:
+            stderr = float(np.std(ups, ddof=1) / math.sqrt(len(ups))) if len(ups) > 1 else 0.0
         rows.append(
             ResultRow(
                 command="diam", d=config.dim, k=None, n=n,
-                estimate=float(np.mean(ups)),
-                stderr=float(np.std(ups, ddof=1) / math.sqrt(len(ups))) if len(ups) > 1 else 0.0,
+                estimate=mean, stderr=stderr,
                 lower_bound=result.quantiles[n][0.5][0],
                 upper_bound=result.quantiles[n][0.5][1],
                 seed=config.seed, samples=config.replicates, elapsed_ms=elapsed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Estimate
-from .sampling import RandomStream
+from .sampling import RandomStream, shard_ranges
 from .wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
 
 __all__ = [
@@ -60,17 +60,20 @@ def _factorial(k: int) -> float:
     return float(math.factorial(k))
 
 
-def _merge_sums(parts) -> tuple[float, float, int]:
+def _estimate(fn, args, workers: int) -> Estimate:
+    """Run fn on every shard, in a pool when workers > 1, and merge the
+    shards' (s, s2, n) sums in stream order."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as ex:
+            parts = list(ex.map(fn, args))
+    else:
+        parts = [fn(a) for a in args]
     s = s2 = 0.0
     n = 0
     for ps, ps2, pn in parts:
         s += ps
         s2 += ps2
         n += pn
-    return s, s2, n
-
-
-def _finish(s: float, s2: float, n: int) -> Estimate:
     mean = s / n
     var = max(s2 / n - mean * mean, 0.0)
     stderr = math.sqrt(var / (n - 1)) if n > 1 else 0.0
@@ -98,21 +101,7 @@ def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
     the high-precision d = 2, 3 reference values are reachable by sampling
     alone.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    return _finish(*_alpha_sums((d, int(samples), rng.seed, rng.stream_index)))
-
-
-def _shard_sizes(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def _map_shards(fn, arglist, workers: int):
-    if workers <= 1:
-        return [fn(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as ex:
-        return list(ex.map(fn, arglist))
+    return _z_moment(d, 2, samples, 0, rng.seed, rng.stream_index, 1)
 
 
 def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1) -> Estimate:
@@ -121,13 +110,7 @@ def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1) -
     Results are bit-reproducible for a fixed (seed, workers) pair because
     shard partials are merged in stream-index order.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    shards = _shard_sizes(int(samples), workers)
-    args = [(d, c, seed, i) for i, c in enumerate(shards) if c > 0]
-    return _finish(*_merge_sums(_map_shards(_alpha_sums, args, workers)))
+    return _z_moment(d, 2, samples, 0, seed, 0, workers)
 
 
 def alpha_closed_form_d1() -> float:
@@ -169,6 +152,25 @@ def _zmoment_sums(args) -> tuple[float, float, int]:
     return s, s2, outer
 
 
+def _z_moment(d, k, outer, inner, seed, first_stream, workers) -> Estimate:
+    """The one body of the estimators: shard `outer` draws over streams
+    first_stream, first_stream + 1, ... (one per worker)."""
+    _factorial(k)
+    if k == 1:
+        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
+    if seed is None:
+        raise ValueError("a random stream is required for k >= 2")
+    if outer < 2:
+        raise ValueError("the sample count must be >= 2")
+    if k >= 3 and inner < 2:
+        raise ValueError("inner must be >= 2 when k >= 3")
+    shards = list(enumerate(shard_ranges(int(outer), workers), start=first_stream))
+    if k == 2:
+        return _estimate(_alpha_sums, [(d, len(r), seed, i) for i, r in shards], workers)
+    args = [(d, k, len(r), int(inner), seed, i) for i, r in shards]
+    return _estimate(_zmoment_sums, args, workers)
+
+
 def estimate_z_moment(
     d: int,
     k: int,
@@ -182,18 +184,8 @@ def estimate_z_moment(
     `inner` mixture-estimator draws per configuration with a delete-1
     jackknife bias correction.  The standard error reflects outer variation.
     """
-    _factorial(k)
-    if k == 1:
-        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
-    if rng is None:
-        raise ValueError("a random stream is required for k >= 2")
-    if outer < 2:
-        raise ValueError("outer must be >= 2")
-    if k == 2:
-        return _finish(*_alpha_sums((d, int(outer), rng.seed, rng.stream_index)))
-    if inner < 2:
-        raise ValueError("inner must be >= 2 when k >= 3")
-    return _finish(*_zmoment_sums((d, k, int(outer), int(inner), rng.seed, rng.stream_index)))
+    seed, stream = (None, 0) if rng is None else (rng.seed, rng.stream_index)
+    return _z_moment(d, k, outer, inner, seed, stream, 1)
 
 
 def estimate_z_moment_parallel(
@@ -205,23 +197,7 @@ def estimate_z_moment_parallel(
     workers: int = 1,
 ) -> Estimate:
     """Worker-sharded version of estimate_z_moment (fixed-order merge)."""
-    _factorial(k)
-    if k == 1:
-        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
-    if outer < 2:
-        raise ValueError("outer must be >= 2")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    shards = _shard_sizes(int(outer), workers)
-    if k == 2:
-        args = [(d, c, seed, i) for i, c in enumerate(shards) if c > 0]
-        parts = _map_shards(_alpha_sums, args, workers)
-    else:
-        if inner < 2:
-            raise ValueError("inner must be >= 2 when k >= 3")
-        args = [(d, k, c, int(inner), seed, i) for i, c in enumerate(shards) if c > 0]
-        parts = _map_shards(_zmoment_sums, args, workers)
-    return _finish(*_merge_sums(parts))
+    return _z_moment(d, k, outer, inner, seed, 0, workers)
 
 
 def z_moment_bounds(d: int, k: int) -> MomentBounds:

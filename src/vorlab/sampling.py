@@ -71,6 +71,19 @@ class RandomStream:
         return self._gen.standard_normal(size)
 
 
+def shard_ranges(total: int, workers: int) -> list[range]:
+    """Split range(total) into at most `workers` consecutive, nonempty ranges.
+
+    Sizes come from divmod(total, workers): they differ by at most one, and
+    the larger ones come first.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    base, extra = divmod(total, workers)
+    ends = [i * base + min(i, extra) for i in range(min(workers, total) + 1)]
+    return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
 def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     """n points uniform in the unit ball: gaussian direction, radius U^(1/d)."""
     if d < 1:
@@ -99,10 +112,10 @@ class DensityModel:
             raise ValueError(f"unknown density kind {self.kind!r}")
         if int(self.dimension) != self.dimension or self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.kind == "uniform-ball" and not self.radius > 0:
-            raise ValueError("uniform-ball radius must be > 0")
-        if self.kind == "uniform-cube" and not self.side > 0:
-            raise ValueError("uniform-cube side must be > 0")
+        if self.kind == "uniform-ball" and not 0 < self.radius < math.inf:
+            raise ValueError("uniform-ball radius must be finite and > 0")
+        if self.kind == "uniform-cube" and not 0 < self.side < math.inf:
+            raise ValueError("uniform-cube side must be finite and > 0")
 
     def sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """Draw size points with this law; shape (size, d)."""

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from vorlab import cellsim
 from vorlab.cellsim import (
     _BLOCK_ELEMENTS,
     CONE_HALF_APERTURE,
@@ -134,6 +136,18 @@ class TestEstimateCellMeasure:
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - 1.0) <= 4 * se
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_copies_of_x_in_others_change_nothing(self, d):
+        # x has index 0 and wins every tie, so copies of it own no probe
+        m = uniform_ball(d)
+        x = np.full(d, 0.1)
+        others = m.sample(RandomStream(20, d), 60)
+        with_copies = np.vstack([others[:30], x, others[30:], x])
+        a = estimate_cell_measure(x, others, m, 4000, RandomStream(21, d))
+        b = estimate_cell_measure(x, with_copies, m, 4000, RandomStream(21, d))
+        assert a == b
+        assert a.value > 0.0
+
 
 class TestExactCellMeasure1D:
     def test_midpoints_against_oracle(self):
@@ -190,11 +204,14 @@ class TestRunCellExperiment:
                 assert np.all(exact.scaled_measures == 1.0)
 
     def test_worker_invariance(self):
-        base = dict(density=uniform_ball(2), n=150, replicates=120, probes=400, seed=10)
-        one = run_cell_experiment(CellExperimentConfig(**base, workers=1))
-        four = run_cell_experiment(CellExperimentConfig(**base, workers=4))
-        assert np.array_equal(one.scaled_measures, four.scaled_measures)
-        assert one.empirical_moments == four.empirical_moments
+        # (7, 3) splits unevenly: blocks of 3, 2 and 2 replicates
+        for replicates, workers in ((120, 4), (7, 3)):
+            base = dict(density=uniform_ball(2), n=150, replicates=replicates, probes=400, seed=10)
+            one = run_cell_experiment(CellExperimentConfig(**base, workers=1))
+            many = run_cell_experiment(CellExperimentConfig(**base, workers=workers))
+            assert np.array_equal(one.scaled_measures, many.scaled_measures)
+            assert np.array_equal(one.hits, many.hits)
+            assert one.empirical_moments == many.empirical_moments
 
     def test_moment_convergence_with_n(self):
         # the larger-n run must be at least as close to the limit for k = 1, 2
@@ -244,6 +261,18 @@ class TestConeDirections:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         covered = (v @ dirs.T >= math.cos(CONE_HALF_APERTURE) - 1e-12).any(axis=1)
         assert covered.all()
+
+    def test_incomplete_cover_raises(self, monkeypatch):
+        # one candidate direction leaves the greedy cover far too small for
+        # 64 repair rounds to complete at d = 4
+        sphere_lds = cellsim._sphere_lds
+        monkeypatch.setattr(cellsim, "_sphere_lds", lambda d, n, key: sphere_lds(d, 1, key))
+        cone_directions.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="cone cover"):
+                cone_directions(4)
+        finally:
+            cone_directions.cache_clear()
 
     def test_cached_and_read_only(self):
         dirs = cone_directions(3)
@@ -348,16 +377,36 @@ class TestRunDiameterExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_worker_invariance(self, d):
-        base = dict(
-            density=uniform_ball(d), n_grid=(1, 100, 200), replicates=60, probes=100, seed=18
+        # (7, 3) splits unevenly: blocks of 3, 2 and 2 replicates per entry
+        for replicates, workers in ((60, 4), (7, 3)):
+            base = dict(
+                density=uniform_ball(d), n_grid=(1, 100, 200), replicates=replicates,
+                probes=100, seed=18,
+            )
+            one = run_diameter_experiment(DiameterExperimentConfig(**base, workers=1))
+            many = run_diameter_experiment(DiameterExperimentConfig(**base, workers=workers))
+            for n in (1, 100, 200):
+                assert np.array_equal(one.scaled_upper[n], many.scaled_upper[n])
+                assert np.array_equal(one.scaled_lower[n], many.scaled_lower[n])
+            # with no other points every cone is empty
+            assert np.all(np.isinf(one.scaled_upper[1]))
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cellsim, "ProcessPoolExecutor", CountingPool)
+        cfg = DiameterExperimentConfig(
+            density=uniform_ball(2), n_grid=(1, 20, 40), replicates=6, probes=20, seed=22,
+            workers=2,
         )
-        one = run_diameter_experiment(DiameterExperimentConfig(**base, workers=1))
-        four = run_diameter_experiment(DiameterExperimentConfig(**base, workers=4))
-        for n in (1, 100, 200):
-            assert np.array_equal(one.scaled_upper[n], four.scaled_upper[n])
-            assert np.array_equal(one.scaled_lower[n], four.scaled_lower[n])
-        # with no other points every cone is empty
-        assert np.all(np.isinf(one.scaled_upper[1]))
+        result = run_diameter_experiment(cfg)
+        assert len(pools) == 1
+        assert all(len(result.scaled_upper[n]) == 6 for n in cfg.n_grid)
 
     def test_validation(self):
         with pytest.raises(ValueError):

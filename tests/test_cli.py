@@ -160,14 +160,18 @@ class TestRunCommands:
         assert [r.k for r in rows] == [1, 2]
         assert all(r.n == 200 for r in rows)
 
+    @pytest.mark.filterwarnings("error")
     def test_diam_rows(self):
         cfg = parse_config(
-            "command=diam dim=1 n_grid=100,200 t_grid=1,2 replicates=60 probes=100 seed=4"
+            "command=diam dim=1 n_grid=1,100,200 t_grid=1,2 replicates=60 probes=100 seed=4"
         )
         rows = run(cfg)
-        assert [r.n for r in rows] == [100, 200]
+        assert [r.n for r in rows] == [1, 100, 200]
         for r in rows:
             assert r.lower_bound <= r.upper_bound or math.isinf(r.upper_bound)
+        # at n = 1 every cone is empty: the mean and its stderr are infinite
+        assert math.isinf(rows[0].estimate) and math.isinf(rows[0].stderr)
+        assert all(math.isfinite(r.stderr) for r in rows[1:])
 
     def test_unionvol_check_agreement_flag(self):
         for dim in (1, 2):
@@ -250,6 +254,13 @@ class TestMainEntry:
     def test_config_error_exit_two(self, capsys):
         assert main(["alpha", "--dim", "0"]) == 2
         assert "dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density", ["uniform-ball:r=inf", "uniform-cube:side=inf"])
+    def test_infinite_density_parameter_is_config_error(self, density, capsys):
+        code = main(["cell", "--dim", "2", "--density", density, "--n", "50",
+                     "--replicates", "10", "--probes", "50"])
+        assert code == 2
+        assert "density" in capsys.readouterr().err
 
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["--config", "/nonexistent/config.txt"]) == 2

@@ -10,6 +10,7 @@ from vorlab.sampling import (
     gaussian,
     parse_density,
     sample_unit_ball_batch,
+    shard_ranges,
     uniform_ball,
     uniform_cube,
 )
@@ -46,6 +47,21 @@ class TestRandomStream:
         # not silently an alias of seed + 2**64
         with pytest.raises(ValueError):
             RandomStream(-1)
+
+
+class TestShardRanges:
+    @pytest.mark.parametrize("total, workers", [(7, 3), (20_000, 3), (12, 4), (1, 1), (5, 64)])
+    def test_consecutive_sizes_differ_by_at_most_one(self, total, workers):
+        shards = shard_ranges(total, workers)
+        assert [i for r in shards for i in r] == list(range(total))
+        sizes = [len(r) for r in shards]
+        assert sizes == sorted(sizes, reverse=True)  # larger shards first
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 1 and len(shards) == min(workers, total)
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError):
+            shard_ranges(10, 0)
 
 
 class TestSampleUnitBall:
@@ -106,7 +122,11 @@ class TestDensityGrammar:
             assert parse_density(m.spec_string(), d) == m
 
     @pytest.mark.parametrize(
-        "bad", ["uniform-ball", "uniform-ball:radius=1", "cube:side=1", "gauss", "uniform-cube:side="]
+        "bad",
+        [
+            "uniform-ball", "uniform-ball:radius=1", "cube:side=1", "gauss", "uniform-cube:side=",
+            "uniform-ball:r=inf", "uniform-cube:side=inf",
+        ],
     )
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
