@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,6 +31,18 @@ __all__ = [
 _QMC_REPLICATES = 16
 _QMC_LOG2_NODES = 13
 _QMC_SEED = 0x5EED_CB_E
+
+
+@lru_cache(maxsize=None)
+def _cube_nodes(d: int) -> tuple[np.ndarray, ...]:
+    """The independently scrambled Sobol node sets in [0, 1)^d, read-only."""
+    sets = []
+    for i in range(_QMC_REPLICATES):
+        gen = np.random.default_rng(np.random.SeedSequence(entropy=_QMC_SEED, spawn_key=(i,)))
+        nodes = qmc.Sobol(d, scramble=True, seed=gen).random(2**_QMC_LOG2_NODES)
+        nodes.setflags(write=False)
+        sets.append(nodes)
+    return tuple(sets)
 
 
 class RandomStream:
@@ -179,15 +192,10 @@ class DensityModel:
         # Sobol replicates; the spread of replicate means is the error estimate.
         # The node set is fixed per dimension, which makes the estimate exactly
         # monotone in the radius.
-        d = self.dimension
         means = np.empty(_QMC_REPLICATES)
         r2 = radius * radius
-        for i in range(_QMC_REPLICATES):
-            gen = np.random.default_rng(
-                np.random.SeedSequence(entropy=_QMC_SEED, spawn_key=(i,))
-            )
-            pts = qmc.Sobol(d, scramble=True, seed=gen).random(2**_QMC_LOG2_NODES)
-            pts = self.side * (pts - 0.5)
+        for i, nodes in enumerate(_cube_nodes(self.dimension)):
+            pts = self.side * (nodes - 0.5)
             means[i] = np.mean(((pts - center) ** 2).sum(axis=1) <= r2)
         value = float(means.mean())
         err = float(means.std(ddof=1) / math.sqrt(_QMC_REPLICATES))

@@ -123,3 +123,38 @@ def random_rotation(d: int, rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def greedy_cap_cover_quadratic(cand: np.ndarray, half_aperture: float) -> np.ndarray:
+    """Greedy cap cover that recounts every candidate's gain on each pick.
+
+    The full Gram matrix is thresholded at the shrunk cap radius
+    0.92 * half_aperture; each pick is the first candidate covering the most
+    candidates not yet covered.  Quadratic time per pick.
+    """
+    cover = cand @ cand.T >= math.cos(0.92 * half_aperture)
+    uncovered = np.ones(len(cand), dtype=bool)
+    rows = []
+    while uncovered.any():
+        best = int(np.argmax(cover[:, uncovered].sum(axis=1)))
+        rows.append(cand[best])
+        uncovered &= ~cover[best]
+    return np.array(rows)
+
+
+def cube_ball_measure_rqmc(d: int, side: float, center, radius: float, seed: int,
+                           replicates: int, log2_nodes: int) -> tuple[float, float]:
+    """Cube ball measure over freshly built scrambled Sobol node sets.
+
+    Replicate i scrambles with SeedSequence(seed, spawn_key=(i,)); returns
+    the mean over replicates and its standard error.
+    """
+    from scipy.stats import qmc
+
+    center = np.asarray(center, dtype=float)
+    means = np.empty(replicates)
+    for i in range(replicates):
+        gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        pts = side * (qmc.Sobol(d, scramble=True, seed=gen).random(2**log2_nodes) - 0.5)
+        means[i] = np.mean(((pts - center) ** 2).sum(axis=1) <= radius * radius)
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(replicates))

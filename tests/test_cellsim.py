@@ -24,7 +24,7 @@ from vorlab.cellsim import (
 )
 from vorlab.sampling import RandomStream, gaussian, uniform_ball, uniform_cube
 
-from oracles import d1_cell_interval
+from oracles import d1_cell_interval, greedy_cap_cover_quadratic
 
 
 class TestNNIndex:
@@ -253,7 +253,7 @@ class TestConeDirections:
         cos_gap = (vecs @ dirs.T).max(axis=1)
         assert np.all(np.arccos(np.clip(cos_gap, -1, 1)) <= CONE_HALF_APERTURE + 1e-9)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_random_validation_no_uncovered(self, d):
         dirs = cone_directions(d)
         rng = np.random.default_rng(100 + d)
@@ -263,16 +263,52 @@ class TestConeDirections:
         assert covered.all()
 
     def test_incomplete_cover_raises(self, monkeypatch):
-        # one candidate direction leaves the greedy cover far too small for
-        # 64 repair rounds to complete at d = 4
+        # one candidate direction, and one added vector per repair round,
+        # leave the cover far too small for 64 repair rounds at d = 4
         sphere_lds = cellsim._sphere_lds
         monkeypatch.setattr(cellsim, "_sphere_lds", lambda d, n, key: sphere_lds(d, 1, key))
+        monkeypatch.setattr(cellsim, "_greedy_cover", lambda cand: cand[:1])
         cone_directions.cache_clear()
         try:
             with pytest.raises(ValueError, match="cone cover"):
                 cone_directions(4)
         finally:
             cone_directions.cache_clear()
+
+    # the sphere point set of the first cover, and random unit vectors like
+    # the holes that repair rounds cover
+    @pytest.mark.parametrize("d, points", [(3, "sphere"), (4, "sphere"), (5, "sphere"),
+                                           (4, "random")])
+    def test_greedy_cover_matches_quadratic_oracle(self, d, points):
+        if points == "sphere":
+            cand = cellsim._sphere_lds(d, 4096, 0)
+        else:
+            cand = np.random.default_rng(7).standard_normal((3000, d))
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        got = cellsim._greedy_cover(cand)
+        assert np.array_equal(got, greedy_cap_cover_quadratic(cand, CONE_HALF_APERTURE))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_no_deep_holes_left(self, d):
+        assert len(cellsim._deep_holes(cone_directions(d))) == 0
+
+    def test_deep_holes_found_where_a_direction_is_missing(self):
+        dirs = cone_directions(3)[1:]
+        holes = cellsim._deep_holes(dirs)
+        assert len(holes) > 0
+        assert np.allclose(np.linalg.norm(holes, axis=1), 1.0)
+        assert np.all((holes @ dirs.T).max(axis=1) < math.cos(CONE_HALF_APERTURE))
+
+    def test_build_memory_bounded(self):
+        cone_directions.cache_clear()
+        tracemalloc.start()
+        try:
+            cone_directions(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            cone_directions.cache_clear()
+        assert peak <= 64 * 2**20
 
     def test_cached_and_read_only(self):
         dirs = cone_directions(3)

@@ -173,6 +173,14 @@ class TestRunCommands:
         assert math.isinf(rows[0].estimate) and math.isinf(rows[0].stderr)
         assert all(math.isfinite(r.stderr) for r in rows[1:])
 
+    def test_diam_dim4_exit_zero(self, capsys):
+        code = main(["diam", "--dim", "4", "--n-grid", "50,100", "--replicates", "2",
+                     "--probes", "100"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [r.n for r in rows_from_csv("\n".join(lines))] == [50, 100]
+
     def test_unionvol_check_agreement_flag(self):
         for dim in (1, 2):
             cfg = parse_config(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from vorlab import sampling
 from vorlab.sampling import (
     DensityModel,
     RandomStream,
@@ -15,7 +16,12 @@ from vorlab.sampling import (
     uniform_cube,
 )
 
-from oracles import disk_square_overlap_quad, gaussian_ball_measure_quad, lens_volume_quad
+from oracles import (
+    cube_ball_measure_rqmc,
+    disk_square_overlap_quad,
+    gaussian_ball_measure_quad,
+    lens_volume_quad,
+)
 
 GAUSS_D1_R1 = 0.6826894921370859  # erf(1/sqrt(2)), re-derived in its test
 
@@ -210,6 +216,33 @@ class TestBallMeasure:
         center = np.array([0.3, 0.3])
         vals = m.ball_measure_batch(center, [0.2, 0.5, 0.9, 1.4, 2.5])
         assert np.all(np.diff(vals) >= 0)
+
+    def test_cube_node_sets_built_once_per_dimension(self, monkeypatch):
+        built = []
+        sobol = sampling.qmc.Sobol
+
+        def counting_sobol(*args, **kwargs):
+            built.append(args)
+            return sobol(*args, **kwargs)
+
+        monkeypatch.setattr(sampling.qmc, "Sobol", counting_sobol)
+        sampling._cube_nodes.cache_clear()
+        m = uniform_cube(3, side=2.0)
+        center = np.array([0.3, -0.2, 0.1])
+        radii = [0.2, 0.7, 1.1]
+        try:
+            first = m.ball_measure_batch(center, radii)
+            second = m.ball_measure_batch(center, radii[::-1])
+        finally:
+            sampling._cube_nodes.cache_clear()
+        assert len(built) == sampling._QMC_REPLICATES
+        uncached = [
+            cube_ball_measure_rqmc(3, 2.0, center, r, sampling._QMC_SEED,
+                                   sampling._QMC_REPLICATES, sampling._QMC_LOG2_NODES)[0]
+            for r in radii
+        ]
+        assert first.tolist() == uncached
+        assert second.tolist() == uncached[::-1]
 
 
 class TestProbabilityIntegralTransform:
