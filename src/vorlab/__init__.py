@@ -34,21 +34,33 @@ from .moments import (
     z_moment_bounds,
     z_moment_closed_form_d1,
 )
-from .cellsim import (
-    CellExperimentConfig,
-    CellExperimentResult,
-    DiameterExperimentConfig,
-    DiameterResult,
-    NNIndex,
-    cone_directions,
-    cone_nn_radii,
-    estimate_cell_diameter,
-    estimate_cell_measure,
-    run_cell_experiment,
-    run_diameter_experiment,
-)
 
 __version__ = "0.1.0"
+
+# cellsim needs scipy (kd-trees, convex hulls, Sobol points); it is imported
+# on first access to one of its names, so the moment estimators load no scipy
+_CELLSIM_NAMES = (
+    "CellExperimentConfig",
+    "CellExperimentResult",
+    "DiameterExperimentConfig",
+    "DiameterResult",
+    "NNIndex",
+    "cone_directions",
+    "cone_nn_radii",
+    "estimate_cell_diameter",
+    "estimate_cell_measure",
+    "run_cell_experiment",
+    "run_diameter_experiment",
+)
+
+
+def __getattr__(name):
+    if name in _CELLSIM_NAMES:
+        from . import cellsim
+
+        return getattr(cellsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Ball",
@@ -73,16 +85,6 @@ __all__ = [
     "z_mgf_bounds",
     "z_moment_bounds",
     "z_moment_closed_form_d1",
-    "CellExperimentConfig",
-    "CellExperimentResult",
-    "DiameterExperimentConfig",
-    "DiameterResult",
-    "NNIndex",
-    "cone_directions",
-    "cone_nn_radii",
-    "estimate_cell_diameter",
-    "estimate_cell_measure",
-    "run_cell_experiment",
-    "run_diameter_experiment",
+    *_CELLSIM_NAMES,
     "__version__",
 ]

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.special import ndtri
+from scipy.stats import qmc
 
 from .geometry import Estimate, as_point
 from .sampling import DensityModel, RandomStream, shard_ranges
@@ -296,8 +297,6 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
 
 
 def _sphere_lds(d: int, n: int, seed_key: int) -> np.ndarray:
-    from scipy.stats import qmc
-
     gen = np.random.default_rng(
         np.random.SeedSequence(entropy=_CONE_SEED, spawn_key=(seed_key,))
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import cellsim, geometry, moments, sampling
+from . import geometry, moments, sampling
 
 __all__ = [
     "ExperimentConfig",
@@ -158,6 +158,10 @@ def _build_config(mapping: dict) -> ExperimentConfig:
     command = mapping["command"]
     mapping.setdefault("samples", _SAMPLES_DEFAULT.get(command, 1_000_000))
     mapping.setdefault("replicates", _REPLICATES_DEFAULT.get(command, 2000))
+    if command in ("cell", "diam"):
+        # they need cellsim and so scipy; loading it here keeps the import
+        # in set-up, before any pool forks, and the other commands load none
+        from . import cellsim  # noqa: F401
     return ExperimentConfig(**mapping)
 
 
@@ -217,25 +221,30 @@ def _run_alpha(config: ExperimentConfig) -> list[ResultRow]:
 
 def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
-    for k in range(1, config.k_max + 1):
-        t0 = time.perf_counter()
-        est = moments.estimate_z_moment_parallel(
-            config.dim, k, config.samples, config.inner_samples, config.seed, config.workers
-        )
-        elapsed = _ms_since(t0)
-        b = moments.z_moment_bounds(config.dim, k)
-        rows.append(
-            ResultRow(
-                command="zmoments", d=config.dim, k=k, n=None,
-                estimate=est.value, stderr=est.stderr,
-                lower_bound=b.lower, upper_bound=b.upper,
-                seed=config.seed, samples=est.samples, elapsed_ms=elapsed,
+    # one pool for every k; it forks its workers when k = 2 first uses it
+    with moments.shard_pool(config.workers, config.samples) as pool:
+        for k in range(1, config.k_max + 1):
+            t0 = time.perf_counter()
+            est = moments.estimate_z_moment_parallel(
+                config.dim, k, config.samples, config.inner_samples, config.seed,
+                config.workers, pool,
             )
-        )
+            elapsed = _ms_since(t0)
+            b = moments.z_moment_bounds(config.dim, k)
+            rows.append(
+                ResultRow(
+                    command="zmoments", d=config.dim, k=k, n=None,
+                    estimate=est.value, stderr=est.stderr,
+                    lower_bound=b.lower, upper_bound=b.upper,
+                    seed=config.seed, samples=est.samples, elapsed_ms=elapsed,
+                )
+            )
     return rows
 
 
 def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
+    from . import cellsim
+
     t0 = time.perf_counter()
     try:
         cell_cfg = cellsim.CellExperimentConfig(
@@ -262,6 +271,8 @@ def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
+    from . import cellsim
+
     t0 = time.perf_counter()
     try:
         diam_cfg = cellsim.DiameterExperimentConfig(

@@ -1,9 +1,9 @@
 """Exact and Monte Carlo volumes of d-dimensional balls and their unions.
 
 The exact two-ball machinery (cap volumes through the regularized incomplete
-beta function) is the computational substrate for everything downstream; the
-mixture Monte Carlo estimator covers unions of three or more balls, where no
-closed form is attempted.
+beta function, evaluated from elementary functions) is the computational
+substrate for everything downstream; the mixture Monte Carlo estimator covers
+unions of three or more balls, where no closed form is attempted.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "Ball",
@@ -87,17 +86,80 @@ class Estimate:
     samples: int
 
 
+# largest d whose caps use _cap_fraction; the tests check it against scipy's
+# betainc for every d up to here, and larger d call betainc
+_CAP_KERNEL_MAX_D = 20
+# the recurrence is kept where its result is at least 1/64 of its start value,
+# so that cancellation costs it at most about 6 bits
+_RECURRENCE_KEEP = 64.0
+# a series term below 2^-54 is under half an ulp of its sum, which is >= 1
+_SERIES_TOL = 2.0**-54
+
+
+def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
+    """I_x((d+1)/2, 1/2), the regularized incomplete beta function, for
+    integer 1 <= d <= _CAP_KERNEL_MAX_D, from elementary functions.
+
+    With a = (d+1)/2 and t_a = x^a sqrt(1-x) / (a B(a, 1/2)), the start value
+    is I_x(1, 1/2) = 1 - sqrt(1-x) for odd d and I_x(3/2, 1/2) =
+    (2/pi)(arcsin sqrt(x) - sqrt(x(1-x))) for even d, and the upward
+    recurrence I_x(a+1, 1/2) = I_x(a, 1/2) - t_a (DLMF 8.17.20) reaches a.
+    Where that subtraction cancels (small x), the positive-term series
+    I_x(a, 1/2) = t_a sum_n (a+1/2)_n / (a+1)_n x^n (DLMF 8.17.8) replaces it.
+    Each element's value depends on that element alone: the series stops
+    only when every term left is absorbed by its sum.
+    """
+    sy = np.sqrt(1.0 - x)
+    if d % 2:
+        a, c = 1.0, 0.5  # c = 1 / (a B(a, 1/2))
+        val = x / (1.0 + sy)  # 1 - sqrt(1-x) without cancellation
+        start = val
+    else:
+        a, c = 1.5, 4.0 / (3.0 * math.pi)
+        s = np.sqrt(x)
+        start = (2.0 / math.pi) * np.arcsin(s)
+        val = start - (2.0 / math.pi) * (s * sy)
+    steps = (d - 1) // 2
+    if steps:
+        t = c * np.power(x, a) * sy
+        for _ in range(steps):
+            val = val - t
+            ratio = (a + 0.5) / (a + 1.0)
+            t *= x * ratio
+            c *= ratio
+            a += 1.0
+    small = val * _RECURRENCE_KEEP < start
+    if np.any(small):
+        xs = x[small]
+        term = np.ones_like(xs)
+        total = np.ones_like(xs)
+        n = 0
+        while term.max() > _SERIES_TOL:
+            term *= xs * ((a + 0.5 + n) / (a + 1.0 + n))
+            total += term
+            n += 1
+        val[small] = c * np.power(xs, a) * np.sqrt(1.0 - xs) * total
+    return val
+
+
 def _cap_volumes(d: int, r: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Volume of the spherical cap of a radius-r ball cut at signed height h.
 
     h is the distance from the ball center to the cutting hyperplane; h >= 0
     gives the minority cap, h < 0 the complementary one.  Evaluated with the
-    regularized incomplete beta function I_x((d+1)/2, 1/2).
+    regularized incomplete beta function I_x((d+1)/2, 1/2): _cap_fraction up
+    to _CAP_KERNEL_MAX_D, scipy's betainc above.
     """
     full = unit_ball_volume(d) * r**d
     # clamp guards ulp-level excursions of 1 - (h/r)^2 at the branch edges
     x = np.clip(1.0 - (h * h) / (r * r), 0.0, 1.0)
-    half_cap = 0.5 * full * betainc((d + 1) / 2, 0.5, x)
+    if d <= _CAP_KERNEL_MAX_D:
+        frac = _cap_fraction(d, x)
+    else:
+        from scipy.special import betainc
+
+        frac = betainc((d + 1) / 2, 0.5, x)
+    half_cap = 0.5 * full * frac
     return np.where(h >= 0.0, half_cap, full - half_cap)
 
 

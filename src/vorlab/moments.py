@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "z_moment_closed_form_d1",
     "z_cdf_d1",
     "z_mgf_bounds",
+    "shard_pool",
 ]
 
 # factorials stay in float beyond this only at the cost of precision
@@ -60,38 +63,56 @@ def _factorial(k: int) -> float:
     return float(math.factorial(k))
 
 
-def _estimate(fn, args, workers: int) -> Estimate:
-    """Run fn on every shard, in a pool when workers > 1, and merge the
-    shards' (s, s2, n) sums in stream order."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as ex:
-            parts = list(ex.map(fn, args))
-    else:
-        parts = [fn(a) for a in args]
-    s = s2 = 0.0
-    n = 0
-    for ps, ps2, pn in parts:
-        s += ps
-        s2 += ps2
-        n += pn
-    mean = s / n
-    var = max(s2 / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / (n - 1)) if n > 1 else 0.0
+def shard_pool(workers: int, samples: int):
+    """The process pool for `samples` draws sharded over `workers` streams,
+    one process per shard; a null context (None) when there is one shard.
+
+    Pass it to several estimates to start one pool for all of them.
+    """
+    size = min(workers, samples)
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
+
+
+# (count, mean, M2) of no values; M2 is the sum of squared deviations
+_NO_STATS = (0, 0.0, 0.0)
+
+
+def _stats(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of the values x."""
+    mean = float(x.mean())
+    return x.size, mean, float(np.square(x - mean).sum())
+
+
+def _merge(a, b) -> tuple[int, float, float]:
+    """(count, mean, M2) of two disjoint samples together (Chan, Golub and
+    LeVeque 1979).  Unlike E[x^2] - E[x]^2 it takes no difference of large
+    sums, so values far from 0 keep their spread."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n)
+
+
+def _estimate(fn, args, pool) -> Estimate:
+    """Run fn on every shard, in the pool when there is one, and merge the
+    shards' (count, mean, M2) in stream order."""
+    parts = [fn(a) for a in args] if pool is None else list(pool.map(fn, args))
+    n, mean, m2 = reduce(_merge, parts, _NO_STATS)
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return Estimate(value=mean, stderr=stderr, samples=n)
 
 
-def _alpha_sums(args) -> tuple[float, float, int]:
+def _alpha_sums(args) -> tuple[int, float, float]:
     d, count, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
-    s = s2 = 0.0
+    acc = _NO_STATS
     left = count
     while left:
         m = min(_W_CHUNK, left)
         left -= m
-        x = 2.0 / sample_w_batch(d, m, rng) ** 2
-        s += float(x.sum())
-        s2 += float((x * x).sum())
-    return s, s2, count
+        acc = _merge(acc, _stats(2.0 / sample_w_batch(d, m, rng) ** 2))
+    return acc
 
 
 def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
@@ -130,11 +151,11 @@ def alpha_bounds(d: int) -> MomentBounds:
     return MomentBounds(lower=1.0, upper=min(2.0, 1.0 + 6.0 * 0.75 ** (d / 2)))
 
 
-def _zmoment_sums(args) -> tuple[float, float, int]:
+def _zmoment_sums(args) -> tuple[int, float, float]:
     d, k, outer, inner, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
     kf = _factorial(k)
-    s = s2 = 0.0
+    acc = _NO_STATS
     left = outer
     while left:
         c = min(_OUTER_CHUNK, left)
@@ -147,14 +168,14 @@ def _zmoment_sums(args) -> tuple[float, float, int]:
         # nonlinearity bias of w -> w^(-k)
         loo = (total[:, None] - vals) / (m - 1)
         theta = m * plug - (m - 1) * np.mean(kf / loo**k, axis=1)
-        s += float(theta.sum())
-        s2 += float((theta * theta).sum())
-    return s, s2, outer
+        acc = _merge(acc, _stats(theta))
+    return acc
 
 
-def _z_moment(d, k, outer, inner, seed, first_stream, workers) -> Estimate:
+def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Estimate:
     """The one body of the estimators: shard `outer` draws over streams
-    first_stream, first_stream + 1, ... (one per worker)."""
+    first_stream, first_stream + 1, ... (one per worker), run in `pool` or,
+    when it is None, in a pool of their own."""
     _factorial(k)
     if k == 1:
         return Estimate(value=1.0, stderr=0.0, samples=int(outer))
@@ -166,9 +187,13 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers) -> Estimate:
         raise ValueError("inner must be >= 2 when k >= 3")
     shards = list(enumerate(shard_ranges(int(outer), workers), start=first_stream))
     if k == 2:
-        return _estimate(_alpha_sums, [(d, len(r), seed, i) for i, r in shards], workers)
-    args = [(d, k, len(r), int(inner), seed, i) for i, r in shards]
-    return _estimate(_zmoment_sums, args, workers)
+        fn, args = _alpha_sums, [(d, len(r), seed, i) for i, r in shards]
+    else:
+        fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
+    if pool is not None:
+        return _estimate(fn, args, pool)
+    with shard_pool(workers, int(outer)) as own:
+        return _estimate(fn, args, own)
 
 
 def estimate_z_moment(
@@ -195,9 +220,14 @@ def estimate_z_moment_parallel(
     inner: int = DEFAULT_INNER_SAMPLES,
     seed: int = 0,
     workers: int = 1,
+    pool=None,
 ) -> Estimate:
-    """Worker-sharded version of estimate_z_moment (fixed-order merge)."""
-    return _z_moment(d, k, outer, inner, seed, 0, workers)
+    """Worker-sharded version of estimate_z_moment (fixed-order merge).
+
+    `pool`, from shard_pool(workers, outer), lets the estimates of several
+    k share one process pool.
+    """
+    return _z_moment(d, k, outer, inner, seed, 0, workers, pool)
 
 
 def z_moment_bounds(d: int, k: int) -> MomentBounds:

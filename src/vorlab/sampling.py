@@ -2,7 +2,8 @@
 
 A density model couples a sampler with a ball-measure oracle mu(B(x, r));
 uniform-ball and gaussian models evaluate it exactly, the uniform-cube model
-numerically by randomized quasi Monte Carlo.
+numerically by randomized quasi Monte Carlo.  scipy is imported by the
+gaussian and cube oracles only, so the moment estimators run without it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2, ncx2, qmc
 
 from .geometry import as_point, ball_intersection_volumes, unit_ball_volume
 
@@ -36,6 +35,8 @@ _QMC_SEED = 0x5EED_CB_E
 @lru_cache(maxsize=None)
 def _cube_nodes(d: int) -> tuple[np.ndarray, ...]:
     """The independently scrambled Sobol node sets in [0, 1)^d, read-only."""
+    from scipy.stats import qmc
+
     sets = []
     for i in range(_QMC_REPLICATES):
         gen = np.random.default_rng(np.random.SeedSequence(entropy=_QMC_SEED, spawn_key=(i,)))
@@ -166,6 +167,8 @@ class DensityModel:
             vals = ball_intersection_volumes(d, self.radius, finite, dist) / support
             return np.where(np.isfinite(radii), vals, 1.0)
         if self.kind == "gaussian":
+            from scipy.stats import chi2, ncx2
+
             nc = float(center @ center)
             q = np.where(np.isfinite(radii), radii, 0.0) ** 2
             vals = chi2.cdf(q, d) if nc == 0.0 else ncx2.cdf(q, d, nc)
@@ -208,6 +211,8 @@ class DensityModel:
         if lo > hi:
             raise ValueError("interval with lo > hi")
         if self.kind == "gaussian":
+            from scipy.special import ndtr
+
             return float(ndtr(hi) - ndtr(lo))
         half = self.radius if self.kind == "uniform-ball" else self.side / 2
         width = min(hi, half) - max(lo, -half)

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own closed forms: cross
 sections are integrated by quadrature, unions are estimated by rejection over
 a bounding ball, and gaussian ball measures reduce to one-dimensional
-integrals against the central chi-square distribution.
+integrals against the central chi-square distribution or to Poisson mixtures
+of central chi-square CDFs.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammainc, gammaln
 from scipy.stats import chi2
 
 
@@ -76,6 +78,21 @@ def gaussian_ball_measure_quad(d: int, center_norm: float, r: float) -> float:
 
     val, _ = integrate.quad(integrand, a - r, a + r, limit=200)
     return val
+
+
+def gaussian_ball_measure_poisson(d: int, center_norm: float, r: float) -> float:
+    """P(||X - c|| <= r) for standard gaussian X and c != 0, as a Poisson mixture.
+
+    ||X - c||^2 is noncentral chi-square with noncentrality ||c||^2, that is,
+    central chi-square with d + 2J degrees of freedom, J ~ Poisson(||c||^2 / 2).
+    The weights are taken in log space and each CDF is a regularized lower
+    incomplete gamma value, so the sum keeps its relative accuracy far in the
+    tail, where the measure is tiny.
+    """
+    half = center_norm * center_norm / 2.0
+    j = np.arange(int(half + 40.0 * math.sqrt(half) + 200.0))
+    weights = np.exp(j * math.log(half) - half - gammaln(j + 1.0))
+    return float(np.sum(weights * gammainc(d / 2.0 + j, r * r / 2.0)))
 
 
 def disk_square_overlap_quad(center: np.ndarray, r: float, side: float) -> float:

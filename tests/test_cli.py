@@ -1,11 +1,17 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vorlab
+from vorlab import moments
 from vorlab.cli import (
     COMMANDS,
     CSV_HEADER,
@@ -181,6 +187,21 @@ class TestRunCommands:
         assert lines[0] == CSV_HEADER
         assert [r.n for r in rows_from_csv("\n".join(lines))] == [50, 100]
 
+    def test_zmoments_one_pool_per_run(self, monkeypatch, capsys):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "ProcessPoolExecutor", CountingPool)
+        code = main(["zmoments", "--dim", "2", "--k-max", "4", "--samples", "17",
+                     "--inner-samples", "64", "--workers", "2"])
+        assert code == 0
+        assert len(pools) == 1
+        assert [r.k for r in rows_from_csv(capsys.readouterr().out)] == [1, 2, 3, 4]
+
     def test_unionvol_check_agreement_flag(self):
         for dim in (1, 2):
             cfg = parse_config(
@@ -284,6 +305,15 @@ class TestMainEntry:
         assert code == 2
         assert "support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim,x", [(1, "1"), (2, "1,0"), (3, "0,0,-1")])
+    def test_x_on_support_boundary_exit_zero(self, dim, x, capsys):
+        code = main(["cell", "--dim", str(dim), "--x", x, "--n", "50",
+                     "--replicates", "5", "--probes", "100"])
+        assert code == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        assert [r.k for r in rows] == [1, 2, 3, 4]
+        assert all(r.estimate >= 0.0 and math.isfinite(r.stderr) for r in rows)
+
     def test_x_dimension_mismatch(self, capsys):
         code = main(["cell", "--dim", "2", "--x", "0.5", "--n", "50",
                      "--replicates", "10", "--probes", "50"])
@@ -305,6 +335,47 @@ class TestMainEntry:
                      "--samples", "500", "--inner-samples", "64"])
         assert code == 0
         assert "zmoments" in capsys.readouterr().out
+
+
+def _python(code: str, argv: list[str]) -> str:
+    """Run code in a fresh interpreter that imports this vorlab; its stdout."""
+    src = str(Path(vorlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestScipyImports:
+    """scipy is loaded by the commands that need it, and by those at set-up."""
+
+    @pytest.mark.parametrize("argv", [
+        ["alpha", "--dim", "2", "--samples", "2e4", "--workers", "2"],
+        ["zmoments", "--dim", "2", "--k-max", "4", "--samples", "16", "--inner-samples", "64"],
+        ["unionvol-check", "--dim", "3", "--replicates", "3", "--samples", "1000"],
+    ], ids=lambda argv: argv[0])
+    def test_moment_commands_load_no_scipy(self, argv):
+        code = ("import sys\nfrom vorlab import cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                f"print({_SCIPY_MODULES})")
+        assert _python(code, argv).splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["cell", "--dim", "2", "--n", "50"],
+        ["diam", "--dim", "3", "--n-grid", "50,100"],
+    ], ids=lambda argv: argv[0])
+    def test_cell_and_diam_load_scipy_while_parsing(self, argv):
+        code = ("import sys\nfrom vorlab import cli\n"
+                f"print({_SCIPY_MODULES})\n"
+                "cli._config_from_args(cli.build_parser().parse_args(sys.argv[1:]))\n"
+                "print([m for m in ('scipy.spatial', 'scipy.stats') if m in sys.modules])")
+        before, after = _python(code, argv).splitlines()
+        assert before == "[]"
+        assert after == "['scipy.spatial', 'scipy.stats']"
 
 
 class TestCommandsTuple:

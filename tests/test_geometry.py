@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
+from vorlab import geometry
 from vorlab.geometry import (
     Ball,
     ball_intersection_volume,
@@ -137,6 +139,31 @@ class TestIntersectionVolume:
         assert np.all(np.isfinite(vols))
         assert np.all(np.diff(vols) <= 1e-15)
         assert vols[0] <= unit_ball_volume(d)
+
+
+class TestCapKernel:
+    """The elementary I_x((d+1)/2, 1/2) behind the cap volumes, against betainc."""
+
+    # dense on a log scale from 1e-300 and on a linear scale up to 1
+    X = np.unique(np.concatenate([
+        np.logspace(-300, 0, 3001), np.logspace(-8, 0, 40001), np.linspace(0.0, 1.0, 40001),
+    ]))
+
+    @pytest.mark.parametrize("d", range(1, geometry._CAP_KERNEL_MAX_D + 1))
+    def test_matches_betainc(self, d):
+        ref = betainc((d + 1) / 2, 0.5, self.X)
+        got = geometry._cap_fraction(d, self.X)
+        tiny = np.finfo(float).tiny
+        normal = ref >= tiny
+        assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-13
+        # where the value underflows, both are 0 or subnormal
+        assert np.all(np.abs(got[~normal] - ref[~normal]) <= tiny)
+
+    @pytest.mark.parametrize("d", [2, 7, 20])
+    def test_each_value_ignores_the_rest_of_the_batch(self, d):
+        x = self.X[::97]
+        alone = [geometry._cap_fraction(d, x[i:i + 1])[0] for i in range(x.size)]
+        assert geometry._cap_fraction(d, x).tolist() == alone
 
 
 class TestTwoBallUnion:

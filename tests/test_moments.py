@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 
+from vorlab import moments
 from vorlab.geometry import Estimate
 from vorlab.moments import (
     MAX_FACTORIAL_K,
@@ -162,6 +163,28 @@ class TestEstimateZMoment:
             estimate_z_moment(1, 3, outer=10, inner=1, rng=RandomStream(0))
         with pytest.raises(OverflowError):
             estimate_z_moment(1, 30, outer=10, rng=RandomStream(0))
+
+
+def _offset_shard(args):
+    """(count, mean, M2) of one shard of values 1e9 + u, with u on a 1/8 grid."""
+    seed, size = args
+    return moments._stats(1e9 + np.random.default_rng(seed).integers(0, 64, size) / 8.0)
+
+
+class TestShardMerge:
+    def test_values_far_from_zero_keep_their_stderr(self):
+        shards = [(s, 1000 + s) for s in range(4)]
+        est = moments._estimate(_offset_shard, shards, None)
+        u = np.concatenate(
+            [np.random.default_rng(s).integers(0, 64, n) / 8.0 for s, n in shards]
+        )
+        assert est.samples == u.size
+        assert est.value == pytest.approx(1e9 + u.mean(), rel=1e-15)
+        assert est.stderr == pytest.approx(u.std(ddof=1) / math.sqrt(u.size), rel=1e-9)
+        # the sum-of-squares variance s2/n - mean^2 cancels on these values
+        x = 1e9 + u
+        naive = max(float(np.sum(x * x)) / x.size - float(x.mean()) ** 2, 0.0)
+        assert math.sqrt(naive / (x.size - 1)) != pytest.approx(est.stderr, rel=0.1)
 
 
 class TestZCdfD1:

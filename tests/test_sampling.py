@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, qmc
 
 from vorlab import sampling
 from vorlab.sampling import (
@@ -19,6 +19,7 @@ from vorlab.sampling import (
 from oracles import (
     cube_ball_measure_rqmc,
     disk_square_overlap_quad,
+    gaussian_ball_measure_poisson,
     gaussian_ball_measure_quad,
     lens_volume_quad,
 )
@@ -174,6 +175,17 @@ class TestBallMeasure:
             got = gaussian(d).ball_measure_batch(center, r)
             assert got == pytest.approx(gaussian_ball_measure_quad(d, a, r), abs=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("norm", [8.0, 12.0])
+    def test_gaussian_far_tail_vs_poisson_mixture(self, d, norm):
+        center = np.zeros(d)
+        center[-1] = norm
+        radii = np.array([0.5, 1.0, 2.0, 4.0, norm - 1.0, norm, norm + 2.0])
+        got = gaussian(d).ball_measure_batch(center, radii)
+        expected = [gaussian_ball_measure_poisson(d, norm, r) for r in radii]
+        # relative: the smallest of these measures is about 1e-32
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
     def test_uniform_ball_off_center_vs_quadrature(self):
         m = uniform_ball(3, radius=1.2)
         center = np.array([0.6, 0.0, 0.0])
@@ -219,13 +231,13 @@ class TestBallMeasure:
 
     def test_cube_node_sets_built_once_per_dimension(self, monkeypatch):
         built = []
-        sobol = sampling.qmc.Sobol
+        sobol = qmc.Sobol
 
         def counting_sobol(*args, **kwargs):
             built.append(args)
             return sobol(*args, **kwargs)
 
-        monkeypatch.setattr(sampling.qmc, "Sobol", counting_sobol)
+        monkeypatch.setattr(qmc, "Sobol", counting_sobol)
         sampling._cube_nodes.cache_clear()
         m = uniform_cube(3, side=2.0)
         center = np.array([0.3, -0.2, 0.1])
