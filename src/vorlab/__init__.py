@@ -37,7 +37,7 @@ from .moments import (
 
 __version__ = "0.1.0"
 
-# cellsim needs scipy (kd-trees, convex hulls, Sobol points); it is imported
+# cellsim needs scipy (convex hulls, Sobol points); it is imported
 # on first access to one of its names, so the moment estimators load no scipy
 _CELLSIM_NAMES = (
     "CellExperimentConfig",

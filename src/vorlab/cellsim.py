@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -56,9 +56,20 @@ _COVER_BLOCK = 256
 _COVER_ELEMENTS = 1 << 20
 
 _QUANTILE_LEVELS = (0.5, 0.9, 0.99)
+# largest dimension with a practical cone cover: at d = 6 the hull repairs
+# run for tens of seconds and end with about 4000 cones, so at n = 2000
+# nearly every replicate has an empty cone and an infinite upper diameter
+_DIAM_MAX_D = 5
 
 # elements of the (block, n, d) difference array built per block of queries
 _BLOCK_ELEMENTS = 1 << 24
+# nearest neighbours of x whose bisectors prefilter the probes, and probes
+# per prefilter block, so that its (neighbours, block) arrays stay in cache
+_CERT_NEIGHBORS = 32
+_CERT_BLOCK = 1024
+# relative margin that keeps the prefilter and the exact check's radius clear
+# of rounding, which is about d * 2^-53 of the same scale
+_CERT_MARGIN = 1e-9
 
 
 def _sq_dist_blocks(q: np.ndarray, pts: np.ndarray):
@@ -70,13 +81,9 @@ def _sq_dist_blocks(q: np.ndarray, pts: np.ndarray):
 
 
 class NNIndex:
-    """Exact nearest-neighbor index with ties resolved to the smallest index.
+    """Exact brute-force nearest-neighbor index; ties go to the smallest index."""
 
-    Both a brute-force and a kd-tree backend exist and answer identically;
-    the kd-tree is the default, the brute force is the oracle.
-    """
-
-    def __init__(self, points, method: str = "kdtree"):
+    def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValueError("at least one point is required")
@@ -84,39 +91,56 @@ class NNIndex:
             raise ValueError("points must form an (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        if method not in ("kdtree", "brute"):
-            raise ValueError(f"unknown method {method!r}")
         self.points = pts
-        self.method = method
-        self._tree = cKDTree(pts) if method == "kdtree" else None
 
     def query(self, queries) -> np.ndarray:
         """Index of the exact nearest point for each query row."""
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         if q.shape[1] != self.points.shape[1]:
             raise ValueError("query dimension does not match the index")
-        if self.method == "brute":
-            return self._query_brute(q)
-        return self._query_kdtree(q)
-
-    def _query_brute(self, q: np.ndarray) -> np.ndarray:
         out = np.empty(q.shape[0], dtype=np.intp)
         for lo, d2 in _sq_dist_blocks(q, self.points):
             # argmin returns the first minimum, i.e. the smallest index
             out[lo : lo + d2.shape[0]] = np.argmin(d2, axis=1)
         return out
 
-    def _query_kdtree(self, q: np.ndarray) -> np.ndarray:
-        n = self.points.shape[0]
-        if n == 1:
-            return np.zeros(q.shape[0], dtype=np.intp)
-        dist, idx = self._tree.query(q, k=2)
-        nearest = idx[:, 0].astype(np.intp)
-        for i in np.nonzero(dist[:, 0] == dist[:, 1])[0]:
-            cand = np.asarray(self._tree.query_ball_point(q[i], dist[i, 0] * (1 + 1e-12)))
-            d2 = ((self.points[cand] - q[i]) ** 2).sum(axis=1)
-            nearest[i] = cand[d2 == d2.min()].min()
-        return nearest
+
+def _cell_member(x: np.ndarray, others: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Mask of the draws whose nearest point among {x} plus `others` is x,
+    with ties to x: the answer of `NNIndex` on the whole set, index 0.
+
+    A draw p is nearer to a point y than to x exactly when
+    2 (p - x).(y - x) > |y - x|^2.  The prefilter rejects p when the left
+    side exceeds the right by a margin for one of x's `_CERT_NEIGHBORS`
+    nearest neighbours.  The margin, _CERT_MARGIN (rho + max |y - x|)^2 with
+    rho >= |p - x| over the block, is far above the rounding of both this
+    form and the brute force's squared distances, so a rejected draw also
+    loses in `NNIndex`.  A draw at distance rho from x can only lose to, or
+    tie with, points within 2 rho of x, so each survivor is decided by
+    `NNIndex` on x (index 0) and the points within 2 (1 + _CERT_MARGIN)
+    times the largest survivor distance.
+    """
+    rel_others = others - x
+    dist2 = (rel_others**2).sum(axis=1)
+    order = np.argsort(dist2, kind="stable")
+    sorted2 = dist2[order]
+    near = rel_others[order[:_CERT_NEIGHBORS]]
+    near_sq = sorted2[:_CERT_NEIGHBORS]
+    reach = math.sqrt(near_sq.max(initial=0.0))
+    twice_near = 2.0 * near
+    keep = np.empty(draws.shape[0], dtype=bool)
+    for lo in range(0, draws.shape[0], _CERT_BLOCK):
+        rel = draws[lo : lo + _CERT_BLOCK] - x
+        # sqrt(d) times the largest coordinate bounds every |p - x|
+        rho = math.sqrt(x.size) * float(np.abs(rel).max())
+        cut = near_sq + _CERT_MARGIN * (rho + reach) ** 2
+        keep[lo : lo + _CERT_BLOCK] = (twice_near @ rel.T <= cut[:, None]).all(axis=0)
+    cand = np.flatnonzero(keep)
+    rho2 = ((draws[cand] - x) ** 2).sum(axis=1).max(initial=0.0)
+    radius2 = 4.0 * rho2 * (1.0 + _CERT_MARGIN) ** 2
+    local = others[order[: np.searchsorted(sorted2, radius2, side="right")]]
+    keep[cand] = NNIndex(np.vstack([x[None, :], local])).query(draws[cand]) == 0
+    return keep
 
 
 def _probe_hits(
@@ -124,9 +148,9 @@ def _probe_hits(
 ) -> np.ndarray:
     """Draw probes from the model; return those whose nearest point among {x}
     plus `others` is x (index 0, so x wins every tie)."""
-    pts = np.vstack([x[None, :], np.asarray(others, dtype=float).reshape(-1, x.size)])
+    others = np.asarray(others, dtype=float).reshape(-1, x.size)
     draws = model.sample(rng, probes)
-    return draws[NNIndex(pts).query(draws) == 0]
+    return draws[_cell_member(x, others, draws)]
 
 
 def estimate_cell_measure(
@@ -471,6 +495,11 @@ class DiameterExperimentConfig:
             raise ValueError("counts must be positive (probes >= 2)")
         if not self.density.support_contains(self.x):
             raise ValueError("conditioning point x lies outside the support")
+        if self.density.dimension > _DIAM_MAX_D:
+            raise ValueError(
+                f"diam needs dim <= {_DIAM_MAX_D}: there is no practical certified "
+                f"cone cover of R^{self.density.dimension}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,9 +86,9 @@ class Estimate:
     samples: int
 
 
-# largest d whose caps use _cap_fraction; the tests check it against scipy's
-# betainc for every d up to here, and larger d call betainc
-_CAP_KERNEL_MAX_D = 20
+# largest d whose caps use _cap_fraction; above it scipy's betainc is faster
+# and is called instead
+_CAP_KERNEL_MAX_D = 19
 # the recurrence is kept where its result is at least 1/64 of its start value,
 # so that cancellation costs it at most about 6 bits
 _RECURRENCE_KEEP = 64.0
@@ -98,7 +98,7 @@ _SERIES_TOL = 2.0**-54
 
 def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
     """I_x((d+1)/2, 1/2), the regularized incomplete beta function, for
-    integer 1 <= d <= _CAP_KERNEL_MAX_D, from elementary functions.
+    integer d >= 1, from elementary functions.
 
     With a = (d+1)/2 and t_a = x^a sqrt(1-x) / (a B(a, 1/2)), the start value
     is I_x(1, 1/2) = 1 - sqrt(1-x) for odd d and I_x(3/2, 1/2) =

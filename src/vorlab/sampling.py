@@ -167,11 +167,18 @@ class DensityModel:
             vals = ball_intersection_volumes(d, self.radius, finite, dist) / support
             return np.where(np.isfinite(radii), vals, 1.0)
         if self.kind == "gaussian":
-            from scipy.stats import chi2, ncx2
+            from scipy.special import gammainc, gammaln, xlogy
 
-            nc = float(center @ center)
-            q = np.where(np.isfinite(radii), radii, 0.0) ** 2
-            vals = chi2.cdf(q, d) if nc == 0.0 else ncx2.cdf(q, d, nc)
+            # |X - c|^2 is central chi-square with d + 2J degrees of freedom,
+            # J ~ Poisson(|c|^2 / 2): a mixture of regularized incomplete
+            # gamma values with positive weights, taken in log space, keeps
+            # its relative accuracy far in the tail.  Summed one J at a time,
+            # so memory stays that of the radii however large |c| is.
+            half = float(center @ center) / 2.0
+            j = np.arange(int(half + 40.0 * math.sqrt(half) + 200.0))
+            weights = np.exp(xlogy(j, half) - half - gammaln(j + 1.0))
+            q = np.where(np.isfinite(radii), radii, 0.0) ** 2 / 2.0
+            vals = sum(w * gammainc(d / 2.0 + k, q) for k, w in enumerate(weights) if w > 0.0)
             return np.where(np.isfinite(radii), vals, 1.0)
         scalars = [
             self._cube_measure(center, float(r))[0] if np.isfinite(r) else 1.0

@@ -95,6 +95,27 @@ def gaussian_ball_measure_poisson(d: int, center_norm: float, r: float) -> float
     return float(np.sum(weights * gammainc(d / 2.0 + j, r * r / 2.0)))
 
 
+def gaussian_ball_measure_mpmath(d: int, center_norm: float, r: float, dps: int = 60) -> float:
+    """The Poisson mixture of gaussian_ball_measure_poisson summed with mpmath
+    at `dps` digits, until the terms past the Poisson mean stop adding to them.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(center_norm) ** 2 / 2
+        x = mpmath.mpf(r) ** 2 / 2
+        weight = mpmath.exp(-half)
+        total = mpmath.mpf(0)
+        j = 0
+        while True:
+            term = weight * mpmath.gammainc(mpmath.mpf(d) / 2 + j, 0, x, regularized=True)
+            total += term
+            if j > half and term < total * mpmath.mpf(10) ** (5 - dps):
+                return float(total)
+            j += 1
+            weight *= half / j
+
+
 def disk_square_overlap_quad(center: np.ndarray, r: float, side: float) -> float:
     """Area of disk(center, r) within the centered square of given side."""
     cx, cy = float(center[0]), float(center[1])

@@ -8,6 +8,8 @@ import pytest
 from vorlab import cellsim
 from vorlab.cellsim import (
     _BLOCK_ELEMENTS,
+    _CERT_BLOCK,
+    _CERT_NEIGHBORS,
     CONE_HALF_APERTURE,
     CellExperimentConfig,
     DiameterExperimentConfig,
@@ -35,37 +37,23 @@ class TestNNIndex:
     def test_query_at_data_points(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((50, 2))
-        for method in ("brute", "kdtree"):
-            got = NNIndex(pts, method).query(pts)
-            assert np.array_equal(got, np.arange(50))
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_kdtree_equals_brute(self, d):
-        rng = np.random.default_rng(d)
-        pts = rng.standard_normal((1000, d))
-        queries = rng.standard_normal((1000, d))
-        bi = NNIndex(pts, "brute").query(queries)
-        ki = NNIndex(pts, "kdtree").query(queries)
-        assert np.array_equal(bi, ki)
+        assert np.array_equal(NNIndex(pts).query(pts), np.arange(50))
 
     def test_duplicate_ties_to_smaller_index(self):
         pts = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         queries = np.array([[0.1, 0.0], [0.9, 1.0], [0.0, 0.0]])
-        for method in ("brute", "kdtree"):
-            got = NNIndex(pts, method).query(queries)
-            assert got.tolist() == [1, 0, 1]
+        assert NNIndex(pts).query(queries).tolist() == [1, 0, 1]
 
     def test_equidistant_tie(self):
         # query exactly between two points resolves to the smaller index
         pts = np.array([[1.0], [-1.0]])
-        for method in ("brute", "kdtree"):
-            assert NNIndex(pts, method).query([[0.0]]).tolist() == [0]
+        assert NNIndex(pts).query([[0.0]]).tolist() == [0]
 
     def test_brute_memory_bounded_per_block(self):
         # blocks are sized by n * d, so a (block, n, d) difference array
         # never exceeds the block budget, whatever d is
         pts = np.random.default_rng(6).standard_normal((2000, 8))
-        for run in (lambda: NNIndex(pts, "brute").query(pts), lambda: _max_pairwise_distance(pts)):
+        for run in (lambda: NNIndex(pts).query(pts), lambda: _max_pairwise_distance(pts)):
             tracemalloc.start()
             try:
                 run()
@@ -86,9 +74,137 @@ class TestNNIndex:
         with pytest.raises(ValueError):
             NNIndex(np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            NNIndex([[0.0]], method="octree")
+            NNIndex([[0.0, math.nan]])
         with pytest.raises(ValueError):
             NNIndex([[0.0, 0.0]]).query([[0.0]])
+
+
+def _member_matches_brute(x, others, draws) -> np.ndarray:
+    """_cell_member's mask, checked against NNIndex on the whole point set."""
+    x = np.asarray(x, dtype=float)
+    others = np.asarray(others, dtype=float).reshape(-1, x.size)
+    got = cellsim._cell_member(x, others, draws)
+    want = NNIndex(np.vstack([x[None, :], others])).query(draws) == 0
+    assert np.array_equal(got, want)
+    return got
+
+
+def _ulp_shifts(points: np.ndarray) -> np.ndarray:
+    """points, and copies moved one ulp down and one ulp up in every coordinate."""
+    return np.vstack([points, np.nextafter(points, -math.inf), np.nextafter(points, math.inf)])
+
+
+_DENSITIES = {"uniform-ball": uniform_ball, "gaussian": gaussian,
+              "uniform-cube": lambda d: uniform_cube(d, side=2.0)}
+
+
+class TestCellMember:
+    """The certified-neighbour membership test against the brute force."""
+
+    @pytest.mark.parametrize("density", sorted(_DENSITIES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equals_brute(self, d, density):
+        m = _DENSITIES[density](d)
+        hits = 0
+        for n in (1, 10, 300):  # n - 1 below and above _CERT_NEIGHBORS
+            for r in range(3):
+                rng = RandomStream(40 + d, 10 * n + r)
+                x = m.sample(rng, 1)[0] if r else np.zeros(d)
+                hits += _member_matches_brute(x, m.sample(rng, n - 1), m.sample(rng, 3000)).sum()
+        assert hits > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_probes_on_and_beside_bisectors(self, d):
+        # probes on the bisector of x and each of its neighbours, up to the
+        # rounding of the midpoint, and one ulp to either side: the brute
+        # force's own rounding decides them, and ties go to x
+        rng = np.random.default_rng(50 + d)
+        x = rng.uniform(-0.5, 0.5, d)
+        others = x + rng.uniform(-0.2, 0.2, (60, d))
+        along = rng.standard_normal((len(others), 20, d))
+        axis = others - x
+        along -= (along @ axis[:, :, None]) * axis[:, None, :] / (axis**2).sum(axis=1)[:, None, None]
+        on = ((x + others) / 2)[:, None, :] + 0.05 * along
+        draws = _ulp_shifts(on.reshape(-1, d))
+        inside = _member_matches_brute(x, others, draws)
+        assert 0 < inside.sum() < len(draws)
+
+    def test_exact_bisector_tie_goes_to_x(self):
+        # (0.5 - 0)^2 == (0.5 - 1)^2 exactly; one ulp either side decides
+        x = np.zeros(1)
+        draws = np.array([[0.5], [np.nextafter(0.5, 0.0)], [np.nextafter(0.5, 1.0)]])
+        assert _member_matches_brute(x, [[1.0]], draws).tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("copies", [2, 40])
+    def test_copies_of_x(self, copies):
+        # copies of x tie with it everywhere and lose every tie; 40 of them
+        # fill the prefilter's neighbour set with points that reject nothing
+        m = uniform_ball(3)
+        rng = RandomStream(60, copies)
+        x = np.full(3, 0.2)
+        others = np.vstack([m.sample(rng, 100), np.tile(x, (copies, 1))])
+        draws = np.vstack([m.sample(rng, 3000), x, others[:5]])
+        assert _member_matches_brute(x, others, draws)[-6]  # the probe at x
+
+    def test_near_copy_of_x(self):
+        # a neighbour 1e-12 from x: whether a probe at distance 1 is nearer
+        # to it than to x is below the brute force's rounding when the probe
+        # is almost equidistant, and the prefilter must leave those probes
+        # to it
+        x = np.array([0.1, -0.2, 0.3])
+        y = x + np.array([1e-12, 0.0, 0.0])
+        rng = np.random.default_rng(61)
+        draws = rng.standard_normal((4000, 3))
+        draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+        draws[:, 0] = rng.uniform(-1e-6, 1e-6, 4000)  # nearly equidistant
+        draws += x
+        inside = _member_matches_brute(x, y[None, :], draws)
+        assert 0 < inside.sum() < len(draws)
+
+    def test_neighbour_just_beyond_twice_the_probe_distance(self):
+        # y is 2p up to an ulp: its squared distance from x rounds to more
+        # than 4 |p - x|^2, yet the brute force's rounding puts it nearer to
+        # p than x, so the exact check must still see it
+        p = np.array([0.970806197416207, 1.3382465221691346, 0.2937521225919658])
+        y = np.array([1.941612394832414, 2.676493044338269, 0.5875042451839317])
+        assert (y**2).sum() > 4.0 * (p**2).sum()
+        assert _member_matches_brute(np.zeros(3), y[None, :], p[None, :]).tolist() == [False]
+
+    def test_no_others(self):
+        draws = uniform_ball(2).sample(RandomStream(62), 100)
+        assert _member_matches_brute(np.zeros(2), np.zeros((0, 2)), draws).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_x_on_uniform_ball_boundary(self, d):
+        m = uniform_ball(d)
+        x = np.zeros(d)
+        x[0] = 1.0
+        rng = RandomStream(63, d)
+        assert _member_matches_brute(x, m.sample(rng, 199), m.sample(rng, 5000)).any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_x_far_out(self, d):
+        m = gaussian(d)
+        x = np.zeros(d)
+        x[-1] = 6.0
+        rng = RandomStream(64, d)
+        # few gaussian probes reach the cell; the shifted ones fill it
+        draws = np.vstack([m.sample(rng, 4000), x + m.sample(rng, 1000)])
+        assert _member_matches_brute(x, m.sample(rng, 1999), draws).any()
+
+    def test_prefilter_memory_bounded(self):
+        # 2 * 10^5 probes: the (neighbours, probes) product alone would take
+        # 51 MB; blocks keep the peak near the size of the returned mask
+        m = uniform_ball(3)
+        others = m.sample(RandomStream(65), 1999)
+        draws = m.sample(RandomStream(66), 200_000)
+        tracemalloc.start()
+        try:
+            cellsim._cell_member(np.zeros(3), others, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws.shape[0] + 4 * _CERT_NEIGHBORS * _CERT_BLOCK * 8
 
 
 class TestEstimateCellMeasure:
@@ -449,6 +565,8 @@ class TestRunDiameterExperiment:
             DiameterExperimentConfig(density=uniform_ball(1), n_grid=(200, 100))
         with pytest.raises(ValueError):
             DiameterExperimentConfig(density=uniform_ball(1), n_grid=())
+        with pytest.raises(ValueError, match="cone cover"):
+            DiameterExperimentConfig(density=uniform_ball(6), n_grid=(100,))
 
 
 class TestTieDeterminism:

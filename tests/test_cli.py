@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -186,6 +187,15 @@ class TestRunCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert [r.n for r in rows_from_csv("\n".join(lines))] == [50, 100]
+
+    def test_diam_dim6_is_config_error(self, capsys):
+        # rejected when the config is read, before any cone cover is built
+        start = time.monotonic()
+        code = main(["diam", "--dim", "6", "--n-grid", "50,100", "--replicates", "2",
+                     "--probes", "100"])
+        assert code == 2
+        assert time.monotonic() - start < 5.0
+        assert "cone cover" in capsys.readouterr().err
 
     def test_zmoments_one_pool_per_run(self, monkeypatch, capsys):
         pools = []

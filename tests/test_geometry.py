@@ -149,7 +149,8 @@ class TestCapKernel:
         np.logspace(-300, 0, 3001), np.logspace(-8, 0, 40001), np.linspace(0.0, 1.0, 40001),
     ]))
 
-    @pytest.mark.parametrize("d", range(1, geometry._CAP_KERNEL_MAX_D + 1))
+    # up to d = 20, one above the cut-over, where the caps call betainc
+    @pytest.mark.parametrize("d", range(1, 21))
     def test_matches_betainc(self, d):
         ref = betainc((d + 1) / 2, 0.5, self.X)
         got = geometry._cap_fraction(d, self.X)

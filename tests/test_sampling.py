@@ -19,6 +19,7 @@ from vorlab.sampling import (
 from oracles import (
     cube_ball_measure_rqmc,
     disk_square_overlap_quad,
+    gaussian_ball_measure_mpmath,
     gaussian_ball_measure_poisson,
     gaussian_ball_measure_quad,
     lens_volume_quad,
@@ -184,6 +185,17 @@ class TestBallMeasure:
         got = gaussian(d).ball_measure_batch(center, radii)
         expected = [gaussian_ball_measure_poisson(d, norm, r) for r in radii]
         # relative: the smallest of these measures is about 1e-32
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("norm", [8.0, 12.0, 20.0, 30.0])
+    def test_gaussian_far_tail_vs_mpmath(self, d, norm):
+        center = np.zeros(d)
+        center[0] = norm
+        radii = np.array([0.5, 1.0, 2.0, 4.0, norm - 1.0, norm, norm + 2.0])
+        got = gaussian(d).ball_measure_batch(center, radii)
+        expected = [gaussian_ball_measure_mpmath(d, norm, r) for r in radii]
+        # down to about 1e-193 at |x| = 30; ncx2.cdf gave 0 at |x| = 20, r = 1
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_uniform_ball_off_center_vs_quadrature(self):

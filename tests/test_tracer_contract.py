@@ -1,0 +1,59 @@
+"""The benchmark's tracer wraps vorlab attributes by name.
+
+`perfbench/tracer.py` looks up functions, methods and pool classes of
+vorlab's modules by attribute name and replaces them with timed wrappers.
+A renamed or deleted attribute makes `install()` raise, and a function the
+program no longer calls leaves its layer without spans; either breaks every
+traced benchmark run.  These tests run a small traced CLI invocation through
+`perfbench/launch.py`, as the benchmark does, and check the spans it wrote.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+_CASES = {
+    "diam": (
+        ["diam", "--dim", "3", "--n-grid", "50,100", "--replicates", "4", "--probes", "200",
+         "--workers", "2"],
+        {"cellsim.NNIndex.build", "cellsim.NNIndex.query", "cellsim.cone_directions",
+         "cellsim.cone_nn_radii", "cellsim.estimate_cell_diameter", "cellsim.task",
+         "cellsim.run_diameter_experiment", "sampling.DensityModel.sample",
+         "sampling.sample_unit_ball_batch", "cli.run", "cli.write_csv"},
+    ),
+    "cell": (
+        ["cell", "--dim", "2", "--n", "50", "--replicates", "4", "--probes", "200"],
+        {"cellsim.NNIndex.build", "cellsim.NNIndex.query", "cellsim.task",
+         "cellsim.run_cell_experiment", "cli.run"},
+    ),
+    "alpha": (
+        ["alpha", "--dim", "2", "--samples", "2e4", "--workers", "2"],
+        {"moments.estimate", "moments.task", "wstat.sample_w_batch",
+         "geometry.ball_intersection_volumes", "cli.run"},
+    ),
+    "zmoments": (
+        ["zmoments", "--dim", "2", "--k-max", "3", "--samples", "16", "--inner-samples", "64"],
+        {"moments.estimate", "moments.task", "wstat.wk_mc_values",
+         "geometry.union_volume_mc_values", "cli.run"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CASES))
+def test_traced_run_records_every_layer(command, tmp_path):
+    argv, layers = _CASES[command]
+    trace = tmp_path / "trace.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "launch.py"), str(tmp_path / "stamp"), str(trace),
+         "0", "--", *argv, "--output", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    spans = {r["name"] for r in records if r["kind"] == "span"}
+    assert layers <= spans, sorted(layers - spans)
