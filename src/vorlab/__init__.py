@@ -34,33 +34,21 @@ from .moments import (
     z_moment_bounds,
     z_moment_closed_form_d1,
 )
-
-__version__ = "0.1.0"
-
-# cellsim needs scipy (convex hulls, Sobol points); it is imported
-# on first access to one of its names, so the moment estimators load no scipy
-_CELLSIM_NAMES = (
-    "CellExperimentConfig",
-    "CellExperimentResult",
-    "DiameterExperimentConfig",
-    "DiameterResult",
-    "NNIndex",
-    "cone_directions",
-    "cone_nn_radii",
-    "estimate_cell_diameter",
-    "estimate_cell_measure",
-    "run_cell_experiment",
-    "run_diameter_experiment",
+from .cellsim import (
+    CellExperimentConfig,
+    CellExperimentResult,
+    DiameterExperimentConfig,
+    DiameterResult,
+    NNIndex,
+    cone_directions,
+    cone_nn_radii,
+    estimate_cell_diameter,
+    estimate_cell_measure,
+    run_cell_experiment,
+    run_diameter_experiment,
 )
 
-
-def __getattr__(name):
-    if name in _CELLSIM_NAMES:
-        from . import cellsim
-
-        return getattr(cellsim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__version__ = "0.1.0"
 
 __all__ = [
     "Ball",
@@ -85,6 +73,16 @@ __all__ = [
     "z_mgf_bounds",
     "z_moment_bounds",
     "z_moment_closed_form_d1",
-    *_CELLSIM_NAMES,
+    "CellExperimentConfig",
+    "CellExperimentResult",
+    "DiameterExperimentConfig",
+    "DiameterResult",
+    "NNIndex",
+    "cone_directions",
+    "cone_nn_radii",
+    "estimate_cell_diameter",
+    "estimate_cell_measure",
+    "run_cell_experiment",
+    "run_diameter_experiment",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import geometry, moments, sampling
+from . import cellsim, geometry, moments, sampling
 
 __all__ = [
     "ExperimentConfig",
@@ -158,10 +158,6 @@ def _build_config(mapping: dict) -> ExperimentConfig:
     command = mapping["command"]
     mapping.setdefault("samples", _SAMPLES_DEFAULT.get(command, 1_000_000))
     mapping.setdefault("replicates", _REPLICATES_DEFAULT.get(command, 2000))
-    if command in ("cell", "diam"):
-        # they need cellsim and so scipy; loading it here keeps the import
-        # in set-up, before any pool forks, and the other commands load none
-        from . import cellsim  # noqa: F401
     return ExperimentConfig(**mapping)
 
 
@@ -243,8 +239,6 @@ def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
-    from . import cellsim
-
     t0 = time.perf_counter()
     try:
         cell_cfg = cellsim.CellExperimentConfig(
@@ -271,8 +265,6 @@ def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
-    from . import cellsim
-
     t0 = time.perf_counter()
     try:
         diam_cfg = cellsim.DiameterExperimentConfig(

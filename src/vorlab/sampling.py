@@ -3,7 +3,8 @@
 A density model couples a sampler with a ball-measure oracle mu(B(x, r));
 uniform-ball and gaussian models evaluate it exactly, the uniform-cube model
 numerically by randomized quasi Monte Carlo.  scipy is imported by the
-gaussian and cube oracles only, so the moment estimators run without it.
+gaussian and cube oracles only, so the moment estimators and the cell
+experiments run without it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from vorlab.cellsim import (
     _BLOCK_ELEMENTS,
     _CERT_BLOCK,
     _CERT_NEIGHBORS,
+    _DIAM_MAX_D,
     CONE_HALF_APERTURE,
     CellExperimentConfig,
     DiameterExperimentConfig,
@@ -26,6 +28,7 @@ from vorlab.cellsim import (
 )
 from vorlab.sampling import RandomStream, gaussian, uniform_ball, uniform_cube
 
+import cone_cover
 from oracles import d1_cell_interval, greedy_cap_cover_quadratic
 
 
@@ -369,7 +372,7 @@ class TestConeDirections:
         cos_gap = (vecs @ dirs.T).max(axis=1)
         assert np.all(np.arccos(np.clip(cos_gap, -1, 1)) <= CONE_HALF_APERTURE + 1e-9)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_validation_no_uncovered(self, d):
         dirs = cone_directions(d)
         rng = np.random.default_rng(100 + d)
@@ -378,18 +381,34 @@ class TestConeDirections:
         covered = (v @ dirs.T >= math.cos(CONE_HALF_APERTURE) - 1e-12).any(axis=1)
         assert covered.all()
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_shipped_covers_match_builder(self, d):
+        assert np.array_equal(cone_directions(d), cone_cover.build_cone_directions(d))
+
+    def test_table_covers_every_diam_dimension(self):
+        with np.load(cellsim._COVER_TABLE, allow_pickle=False) as table:
+            assert sorted(table.files) == [f"d{d}" for d in range(3, _DIAM_MAX_D + 1)]
+
+    def test_table_is_package_data(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        assert cellsim._COVER_TABLE.name in package_data["vorlab"]
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_no_cover_raises_at_once(self, d):
+        with pytest.raises(ValueError, match="cone cover"):
+            cone_directions(d)
+
     def test_incomplete_cover_raises(self, monkeypatch):
         # one candidate direction, and one added vector per repair round,
         # leave the cover far too small for 64 repair rounds at d = 4
-        sphere_lds = cellsim._sphere_lds
-        monkeypatch.setattr(cellsim, "_sphere_lds", lambda d, n, key: sphere_lds(d, 1, key))
-        monkeypatch.setattr(cellsim, "_greedy_cover", lambda cand: cand[:1])
-        cone_directions.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="cone cover"):
-                cone_directions(4)
-        finally:
-            cone_directions.cache_clear()
+        sphere_lds = cone_cover._sphere_lds
+        monkeypatch.setattr(cone_cover, "_sphere_lds", lambda d, n, key: sphere_lds(d, 1, key))
+        monkeypatch.setattr(cone_cover, "_greedy_cover", lambda cand: cand[:1])
+        with pytest.raises(ValueError, match="cone cover"):
+            cone_cover.build_cone_directions(4)
 
     # the sphere point set of the first cover, and random unit vectors like
     # the holes that repair rounds cover
@@ -397,33 +416,31 @@ class TestConeDirections:
                                            (4, "random")])
     def test_greedy_cover_matches_quadratic_oracle(self, d, points):
         if points == "sphere":
-            cand = cellsim._sphere_lds(d, 4096, 0)
+            cand = cone_cover._sphere_lds(d, 4096, 0)
         else:
             cand = np.random.default_rng(7).standard_normal((3000, d))
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        got = cellsim._greedy_cover(cand)
+        got = cone_cover._greedy_cover(cand)
         assert np.array_equal(got, greedy_cap_cover_quadratic(cand, CONE_HALF_APERTURE))
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 5])
     def test_no_deep_holes_left(self, d):
-        assert len(cellsim._deep_holes(cone_directions(d))) == 0
+        assert len(cone_cover._deep_holes(cone_directions(d))) == 0
 
     def test_deep_holes_found_where_a_direction_is_missing(self):
         dirs = cone_directions(3)[1:]
-        holes = cellsim._deep_holes(dirs)
+        holes = cone_cover._deep_holes(dirs)
         assert len(holes) > 0
         assert np.allclose(np.linalg.norm(holes, axis=1), 1.0)
         assert np.all((holes @ dirs.T).max(axis=1) < math.cos(CONE_HALF_APERTURE))
 
     def test_build_memory_bounded(self):
-        cone_directions.cache_clear()
         tracemalloc.start()
         try:
-            cone_directions(3)
+            cone_cover.build_cone_directions(3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            cone_directions.cache_clear()
         assert peak <= 64 * 2**20
 
     def test_cached_and_read_only(self):

@@ -180,9 +180,10 @@ class TestRunCommands:
         assert math.isinf(rows[0].estimate) and math.isinf(rows[0].stderr)
         assert all(math.isfinite(r.stderr) for r in rows[1:])
 
-    def test_diam_dim4_exit_zero(self, capsys):
-        code = main(["diam", "--dim", "4", "--n-grid", "50,100", "--replicates", "2",
-                     "--probes", "100"])
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_diam_high_dim_exit_zero(self, dim, capsys):
+        code = main(["diam", "--dim", str(dim), "--n-grid", "50,100", "--replicates", "2",
+                     "--probes", "100", "--workers", "2"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == CSV_HEADER
@@ -357,35 +358,39 @@ def _python(code: str, argv: list[str]) -> str:
     return proc.stdout
 
 
-_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# argv per case id; cell and diam run with each density and a pool of two
+_NO_SCIPY_RUNS = {
+    "alpha": ["alpha", "--dim", "2", "--samples", "2e4", "--workers", "2"],
+    "zmoments": ["zmoments", "--dim", "2", "--k-max", "4", "--samples", "16",
+                 "--inner-samples", "64"],
+    "unionvol-check": ["unionvol-check", "--dim", "3", "--replicates", "3", "--samples", "1000"],
+    **{
+        f"{argv[0]}-{density.split(':')[0]}": [*argv, "--density", density, "--workers", "2"]
+        for argv in (["cell", "--dim", "2", "--n", "50", "--replicates", "4", "--probes", "200"],
+                     ["diam", "--dim", "3", "--n-grid", "1,50,100", "--replicates", "4",
+                      "--probes", "200"])
+        for density in ("uniform-ball:r=1", "gaussian", "uniform-cube:side=2")
+    },
+}
 
 
 class TestScipyImports:
-    """scipy is loaded by the commands that need it, and by those at set-up."""
+    """Only the gaussian and cube ball-measure oracles, and caps above d = 19,
+    load scipy; no command at these settings reaches them."""
 
-    @pytest.mark.parametrize("argv", [
-        ["alpha", "--dim", "2", "--samples", "2e4", "--workers", "2"],
-        ["zmoments", "--dim", "2", "--k-max", "4", "--samples", "16", "--inner-samples", "64"],
-        ["unionvol-check", "--dim", "3", "--replicates", "3", "--samples", "1000"],
-    ], ids=lambda argv: argv[0])
-    def test_moment_commands_load_no_scipy(self, argv):
-        code = ("import sys\nfrom vorlab import cli\n"
-                "assert cli.main(sys.argv[1:]) == 0\n"
-                f"print({_SCIPY_MODULES})")
-        assert _python(code, argv).splitlines()[-1] == "[]"
-
-    @pytest.mark.parametrize("argv", [
-        ["cell", "--dim", "2", "--n", "50"],
-        ["diam", "--dim", "3", "--n-grid", "50,100"],
-    ], ids=lambda argv: argv[0])
-    def test_cell_and_diam_load_scipy_while_parsing(self, argv):
-        code = ("import sys\nfrom vorlab import cli\n"
-                f"print({_SCIPY_MODULES})\n"
-                "cli._config_from_args(cli.build_parser().parse_args(sys.argv[1:]))\n"
-                "print([m for m in ('scipy.spatial', 'scipy.stats') if m in sys.modules])")
-        before, after = _python(code, argv).splitlines()
-        assert before == "[]"
-        assert after == "['scipy.spatial', 'scipy.stats']"
+    @pytest.mark.parametrize("argv", list(_NO_SCIPY_RUNS.values()), ids=list(_NO_SCIPY_RUNS))
+    def test_commands_load_no_scipy(self, argv):
+        # a blocker, not a look at sys.modules, so that the imports of forked
+        # pool workers, which inherit it, are checked too
+        code = ("import sys\n"
+                "class NoScipy:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.split('.')[0] == 'scipy':\n"
+                "            raise ImportError(f'scipy import: {name}')\n"
+                "sys.meta_path.insert(0, NoScipy())\n"
+                "from vorlab import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        _python(code, argv)
 
 
 class TestCommandsTuple:
