@@ -26,7 +26,6 @@ from .sampling import (
 from .moments import (
     MomentBounds,
     alpha_bounds,
-    alpha_closed_form_d1,
     estimate_alpha,
     estimate_z_moment,
     z_cdf_d1,
@@ -43,7 +42,6 @@ from .cellsim import (
     cone_directions,
     cone_nn_radii,
     estimate_cell_diameter,
-    estimate_cell_measure,
     run_cell_experiment,
     run_diameter_experiment,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "uniform_cube",
     "MomentBounds",
     "alpha_bounds",
-    "alpha_closed_form_d1",
     "estimate_alpha",
     "estimate_z_moment",
     "z_cdf_d1",
@@ -81,7 +78,6 @@ __all__ = [
     "cone_directions",
     "cone_nn_radii",
     "estimate_cell_diameter",
-    "estimate_cell_measure",
     "run_cell_experiment",
     "run_diameter_experiment",
     "__version__",

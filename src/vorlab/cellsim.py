@@ -21,14 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Estimate, as_point
+from .geometry import as_point
 from .sampling import DensityModel, RandomStream, shard_ranges
 
 __all__ = [
     "NNIndex",
-    "estimate_cell_measure",
     "exact_cell_measure_1d",
-    "probe_cell_fractions",
     "CellExperimentConfig",
     "CellExperimentResult",
     "run_cell_experiment",
@@ -147,21 +145,6 @@ def _probe_hits(
     return draws[_cell_member(x, others, draws)]
 
 
-def estimate_cell_measure(
-    x, others, model: DensityModel, probes: int, rng: RandomStream
-) -> Estimate:
-    """Probe estimate of the measure of the cell centered at x.
-
-    Draws `probes` points from the model and returns the fraction whose
-    nearest neighbor among {x} plus `others` is x (ties to the smallest
-    index, and x has index 0).  Unbiased given the point set.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    p = len(_probe_hits(as_point(x), others, model, int(probes), rng)) / probes
-    return Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / probes), samples=int(probes))
-
-
 def exact_cell_measure_1d(x, others, model: DensityModel) -> float:
     """Exact cell measure in one dimension via neighbor midpoints.
 
@@ -178,13 +161,6 @@ def exact_cell_measure_1d(x, others, model: DensityModel) -> float:
     lo = (x + left.max()) / 2 if left.size else -math.inf
     hi = (x + right.min()) / 2 if right.size else math.inf
     return model.interval_measure(lo, hi)
-
-
-def probe_cell_fractions(points, model: DensityModel, probes: int, rng: RandomStream) -> np.ndarray:
-    """Probe fractions for every cell of the point set; they sum to one."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx = NNIndex(pts).query(model.sample(rng, int(probes)))
-    return np.bincount(idx, minlength=pts.shape[0]) / probes
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -46,25 +47,69 @@ class ConfigError(ValueError):
     """Raised for malformed configuration input; names the key and line."""
 
 
+# parsers of the config keys' values; each raises ValueError on a bad value
+
+
+def _count(value: str, lo: int = 1, hi: float = math.inf) -> int:
+    v = float(value)  # counts accept scientific notation
+    if not (v.is_integer() and lo <= v <= hi):
+        raise ValueError(f"expected a whole number in [{lo}, {hi}], got {value!r}")
+    return int(v)
+
+
+def _seed(value: str) -> int:
+    v = int(value)
+    if not 0 <= v < 1 << 64:
+        raise ValueError(f"must be in [0, 2**64), got {value!r}")
+    return v
+
+
+def _command(value: str) -> str:
+    if value not in COMMANDS:
+        raise ValueError(f"unknown command {value!r}")
+    return value
+
+
+def _density(value: str) -> str:
+    sampling.parse_density(value, dimension=1)
+    return value
+
+
+def _tuple(value: str, item=float) -> tuple:
+    return tuple(item(t) for t in value.split(","))
+
+
+def _point(value: str) -> tuple[float, ...] | None:
+    return None if value == "origin" else _tuple(value)
+
+
+def _key(parse, default=MISSING):
+    """A config key: its default and the parser of its value."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: the unit of reproducibility for the batch CLI."""
+    """One experiment: the unit of reproducibility for the batch CLI.
 
-    command: str
-    dim: int = 1
-    density: str = "uniform-ball:r=1"
-    x: tuple[float, ...] | None = None  # None means the origin
-    n: int = 2000
-    replicates: int = 2000
-    probes: int = 5000
-    samples: int = 1_000_000
-    inner_samples: int = 4096
-    k_max: int = 4
-    n_grid: tuple[int, ...] = (1000, 10000)
-    t_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    seed: int = 0
-    workers: int = 1
-    output: str | None = None
+    Each field is a config key, and its metadata holds the key's parser.
+    """
+
+    command: str = _key(_command)
+    dim: int = _key(_count, 1)
+    density: str = _key(_density, "uniform-ball:r=1")
+    x: tuple[float, ...] | None = _key(_point, None)  # None means the origin
+    n: int = _key(_count, 2000)
+    replicates: int = _key(_count, 2000)
+    probes: int = _key(_count, 5000)
+    samples: int = _key(partial(_count, lo=2), 1_000_000)
+    inner_samples: int = _key(partial(_count, lo=2), 4096)
+    k_max: int = _key(partial(_count, hi=moments.MAX_FACTORIAL_K), 4)
+    n_grid: tuple[int, ...] = _key(partial(_tuple, item=_count), (1000, 10000))
+    t_grid: tuple[float, ...] = _key(_tuple, (0.5, 1.0, 2.0, 4.0))
+    seed: int = _key(_seed, 0)
+    workers: int = _key(partial(_count, hi=MAX_WORKERS), 1)
+    output: str | None = _key(str, None)
 
 
 @dataclass(frozen=True)
@@ -85,79 +130,26 @@ class ResultRow:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
 # every key but command, which the subcommand sets, is also a flag
-_FLAG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "command")
-
-
-def _parse_count(key: str, value: str, line: int) -> int:
-    try:
-        v = float(value)
-    except ValueError:
-        raise ConfigError(f"line {line}: key '{key}': not a number: {value!r}") from None
-    if not v.is_integer() or v < 1:
-        raise ConfigError(f"line {line}: key '{key}': expected a positive count, got {value!r}")
-    return int(v)
-
-
-def _parse_x(value: str, line: int) -> tuple[float, ...] | None:
-    if value == "origin":
-        return None
-    try:
-        return tuple(float(t) for t in value.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"line {line}: key 'x': expected 'origin' or comma-separated reals, got {value!r}"
-        ) from None
-
-
-_COUNT_KEYS = {
-    "dim", "n", "replicates", "probes", "samples", "inner_samples", "k_max", "workers",
-}
+_FLAG_KEYS = tuple(key for key in _PARSERS if key != "command")
 
 
 def _apply_key(out: dict, key: str, value: str, line: int) -> None:
-    if key == "command":
-        if value not in COMMANDS:
-            raise ConfigError(f"line {line}: key 'command': unknown command {value!r}")
-        out[key] = value
-    elif key in _COUNT_KEYS:
-        out[key] = _parse_count(key, value, line)
-        if key == "workers" and out[key] > MAX_WORKERS:
-            raise ConfigError(f"line {line}: key 'workers': at most {MAX_WORKERS}, got {value!r}")
-    elif key == "seed":
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise ConfigError(f"line {line}: key 'seed': not an integer: {value!r}") from None
-        if not 0 <= out[key] < 1 << 64:
-            raise ConfigError(f"line {line}: key 'seed': must be in [0, 2**64), got {value!r}")
-    elif key == "density":
-        try:
-            sampling.parse_density(value, dimension=1)
-        except ValueError as e:
-            raise ConfigError(f"line {line}: key 'density': {e}") from None
-        out[key] = value
-    elif key == "x":
-        out[key] = _parse_x(value, line)
-    elif key == "n_grid":
-        out[key] = tuple(_parse_count("n_grid", t, line) for t in value.split(","))
-    elif key == "t_grid":
-        try:
-            out[key] = tuple(float(t) for t in value.split(","))
-        except ValueError:
-            raise ConfigError(f"line {line}: key 't_grid': expected comma-separated reals") from None
-    elif key == "output":
-        out[key] = value
-    else:
+    if key not in _PARSERS:
         raise ConfigError(f"line {line}: unknown key {key!r}")
+    try:
+        out[key] = _PARSERS[key](value)
+    except ValueError as e:
+        raise ConfigError(f"line {line}: key {key!r}: {e}") from None
 
 
 def _build_config(mapping: dict) -> ExperimentConfig:
     if "command" not in mapping:
         raise ConfigError("line 0: key 'command': missing (give a subcommand or command=...)")
     command = mapping["command"]
-    mapping.setdefault("samples", _SAMPLES_DEFAULT.get(command, 1_000_000))
-    mapping.setdefault("replicates", _REPLICATES_DEFAULT.get(command, 2000))
+    for key, per_command in (("samples", _SAMPLES_DEFAULT), ("replicates", _REPLICATES_DEFAULT)):
+        mapping.setdefault(key, per_command.get(command, getattr(ExperimentConfig, key)))
     return ExperimentConfig(**mapping)
 
 
@@ -168,18 +160,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical key=value text; parse_config(render_config(c)) == c."""
-    lines = [f"command={config.command}"]
+    lines = []
     for f in fields(config):
-        if f.name in ("command", "output"):
-            continue
         v = getattr(config, f.name)
-        if f.name == "x":
-            v = "origin" if v is None else ",".join(repr(t) for t in v)
-        elif f.name in ("n_grid", "t_grid"):
-            v = ",".join(repr(t) if isinstance(t, float) else str(t) for t in v)
-        lines.append(f"{f.name}={v}")
-    if config.output is not None:
-        lines.append(f"output={config.output}")
+        if f.name == "x" and v is None:
+            v = "origin"
+        if isinstance(v, tuple):
+            v = ",".join(repr(t) for t in v)
+        if v is not None:
+            lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"
 
 
@@ -402,8 +391,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 text = fh.read()
         except OSError as e:
             raise ConfigError(f"line 0: key 'config': cannot read {args.config!r}: {e}") from None
-        file_cfg = parse_config_mapping(text)
-        mapping.update(file_cfg)
+        mapping.update(parse_config_mapping(text))
     if args.command:
         mapping["command"] = args.command
     for key in _FLAG_KEYS:

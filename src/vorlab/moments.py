@@ -25,7 +25,6 @@ __all__ = [
     "MAX_FACTORIAL_K",
     "estimate_alpha",
     "estimate_alpha_parallel",
-    "alpha_closed_form_d1",
     "alpha_bounds",
     "estimate_z_moment",
     "estimate_z_moment_parallel",
@@ -134,16 +133,6 @@ def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1) -
     return _z_moment(d, 2, samples, 0, seed, 0, workers)
 
 
-def alpha_closed_form_d1() -> float:
-    """Exact value 3/2 in one dimension.
-
-    In d = 1 the normalized union volume is 1 with probability 1/2 and 1 + U
-    otherwise (U uniform), so the mean of 2 / W^2 is
-    (2 + E[2 / (1 + U)^2]) / 2 = 1 + E[1 / (1 + U)^2] = 3/2.
-    """
-    return 1.5
-
-
 def alpha_bounds(d: int) -> MomentBounds:
     """Envelope 1 <= alpha(d) <= min(2, 1 + 6 (3/4)^(d/2))."""
     if d < 1:
@@ -240,12 +229,7 @@ def z_moment_bounds(d: int, k: int) -> MomentBounds:
 
 def z_moment_closed_form_d1(k: int) -> float:
     """(k + 1)! / 2^k: the k-th moment of half the sum of two unit exponentials."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > MAX_FACTORIAL_K:
-        raise OverflowError(
-            f"factorial-based moments support k <= {MAX_FACTORIAL_K}, got k={k}"
-        )
+    _factorial(k)  # the range checks of k
     return math.factorial(k + 1) / 2.0**k
 
 

@@ -226,14 +226,6 @@ class DensityModel:
         width = min(hi, half) - max(lo, -half)
         return max(width, 0.0) / (2 * half)
 
-    def spec_string(self) -> str:
-        """Canonical density spec understood by parse_density."""
-        if self.kind == "uniform-ball":
-            return f"uniform-ball:r={self.radius:g}"
-        if self.kind == "uniform-cube":
-            return f"uniform-cube:side={self.side:g}"
-        return "gaussian"
-
 
 def uniform_ball(dimension: int, radius: float = 1.0) -> DensityModel:
     return DensityModel(kind="uniform-ball", dimension=dimension, radius=radius)

@@ -20,9 +20,7 @@ from vorlab.cellsim import (
     cone_directions,
     cone_nn_radii,
     estimate_cell_diameter,
-    estimate_cell_measure,
     exact_cell_measure_1d,
-    probe_cell_fractions,
     run_cell_experiment,
     run_diameter_experiment,
 )
@@ -210,27 +208,23 @@ class TestCellMember:
         assert peak <= draws.shape[0] + 4 * _CERT_NEIGHBORS * _CERT_BLOCK * 8
 
 
+def _hit_fraction(x, others, model, probes, rng) -> float:
+    """Fraction of `probes` model draws whose nearest point among {x} plus
+    `others` is x: the probe estimate of the cell measure that `cell` takes."""
+    return len(cellsim._probe_hits(np.asarray(x, dtype=float), others, model, probes, rng)) / probes
+
+
 class TestEstimateCellMeasure:
     def test_no_others_is_one(self):
-        est = estimate_cell_measure([0.0, 0.0], np.zeros((0, 2)), uniform_ball(2), 500, RandomStream(1))
-        assert est.value == 1.0 and est.stderr == 0.0
+        m = uniform_ball(2)
+        assert _hit_fraction([0.0, 0.0], np.zeros((0, 2)), m, 500, RandomStream(1)) == 1.0
 
     def test_d1_quarter_cell(self):
         # uniform on [-1, 1]: the cell of 0 against {0.5, -0.5} is (-1/4, 1/4)
         m = uniform_ball(1)
         probes = 20_000
-        est = estimate_cell_measure([0.0], [[0.5], [-0.5]], m, probes, RandomStream(2))
-        assert est.samples == probes
-        assert abs(est.value - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / probes)
-
-    def test_partition_sums_to_one(self):
-        rng = RandomStream(3)
-        m = gaussian(2)
-        pts = m.sample(rng, 40)
-        frac = probe_cell_fractions(pts, m, 5000, RandomStream(4))
-        # hit counts partition the probes exactly
-        assert frac.sum() == pytest.approx(1.0, abs=1e-12)
-        assert int(round(frac.sum() * 5000)) == 5000
+        p = _hit_fraction([0.0], [[0.5], [-0.5]], m, probes, RandomStream(2))
+        assert abs(p - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / probes)
 
     def test_matches_exact_1d_oracle(self):
         m = uniform_ball(1)
@@ -238,8 +232,8 @@ class TestEstimateCellMeasure:
         others = m.sample(rng, 30)
         mu = exact_cell_measure_1d([0.1], others, m)
         probes = 50_000
-        est = estimate_cell_measure([0.1], others, m, probes, RandomStream(6))
-        assert abs(est.value - mu) <= 4 * math.sqrt(mu * (1 - mu) / probes)
+        p = _hit_fraction([0.1], others, m, probes, RandomStream(6))
+        assert abs(p - mu) <= 4 * math.sqrt(mu * (1 - mu) / probes)
 
     def test_unconditioned_mean_is_one(self):
         # with a random center the exact identity E[n mu(S_1)] = 1 holds at
@@ -250,8 +244,7 @@ class TestEstimateCellMeasure:
         for r in range(reps):
             rng = RandomStream(7, r)
             pts = m.sample(rng, n)
-            est = estimate_cell_measure(pts[0], pts[1:], m, probes, rng)
-            vals[r] = n * est.value
+            vals[r] = n * _hit_fraction(pts[0], pts[1:], m, probes, rng)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - 1.0) <= 4 * se
 
@@ -262,10 +255,10 @@ class TestEstimateCellMeasure:
         x = np.full(d, 0.1)
         others = m.sample(RandomStream(20, d), 60)
         with_copies = np.vstack([others[:30], x, others[30:], x])
-        a = estimate_cell_measure(x, others, m, 4000, RandomStream(21, d))
-        b = estimate_cell_measure(x, with_copies, m, 4000, RandomStream(21, d))
-        assert a == b
-        assert a.value > 0.0
+        a = cellsim._probe_hits(x, others, m, 4000, RandomStream(21, d))
+        b = cellsim._probe_hits(x, with_copies, m, 4000, RandomStream(21, d))
+        assert np.array_equal(a, b)
+        assert len(a) > 0
 
 
 class TestExactCellMeasure1D:
@@ -416,7 +409,10 @@ class TestConeDirections:
                                            (4, "random")])
     def test_greedy_cover_matches_quadratic_oracle(self, d, points):
         if points == "sphere":
-            cand = cone_cover._sphere_lds(d, 4096, 0)
+            # the oracle recounts a (4096, 4096) matrix per pick, most of a
+            # minute at d = 5, where test_shipped_covers_match_builder already
+            # pins the 4096-point cover bit for bit
+            cand = cone_cover._sphere_lds(d, 1024 if d == 5 else 4096, 0)
         else:
             cand = np.random.default_rng(7).standard_normal((3000, d))
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -584,13 +580,3 @@ class TestRunDiameterExperiment:
             DiameterExperimentConfig(density=uniform_ball(1), n_grid=())
         with pytest.raises(ValueError, match="cone cover"):
             DiameterExperimentConfig(density=uniform_ball(6), n_grid=(100,))
-
-
-class TestTieDeterminism:
-    def test_same_seed_same_assignments(self):
-        m = uniform_cube(2, side=2.0)
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
-        a = probe_cell_fractions(pts, m, 2000, RandomStream(19))
-        b = probe_cell_fractions(pts, m, 2000, RandomStream(19))
-        assert np.array_equal(a, b)
-        assert a[1] == 0.0  # duplicate always loses to index 0

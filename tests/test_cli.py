@@ -132,6 +132,7 @@ class TestRenderRoundTrip:
                 command="diam", dim=1, n_grid=(10, 20, 40), t_grid=(0.1, 0.7), workers=4
             ),
             ExperimentConfig(command="unionvol-check", dim=2, replicates=5, output="out.csv"),
+            ExperimentConfig(command="zmoments", dim=2, probes=300, inner_samples=64, k_max=6),
         ],
     )
     def test_round_trip(self, cfg):
@@ -294,6 +295,21 @@ class TestMainEntry:
     def test_config_error_exit_two(self, capsys):
         assert main(["alpha", "--dim", "0"]) == 2
         assert "dim" in capsys.readouterr().err
+
+    # bounds of the key table: rejected when the config is read, before any
+    # sampling, and named by key
+    @pytest.mark.parametrize("argv, key", [
+        (["alpha", "--samples", "1"], "samples"),
+        (["zmoments", "--k-max", "3", "--inner-samples", "1"], "inner_samples"),
+        (["zmoments", "--k-max", "21"], "k_max"),
+        (["cell", "--k-max", "21"], "k_max"),
+        (["unionvol-check", "--samples", "1"], "samples"),
+    ])
+    def test_key_bounds_exit_two(self, argv, key, capsys):
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 5.0
+        assert f"key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("density", ["uniform-ball:r=inf", "uniform-cube:side=inf"])
     def test_infinite_density_parameter_is_config_error(self, density, capsys):

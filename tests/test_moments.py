@@ -12,7 +12,6 @@ from vorlab.moments import (
     MAX_FACTORIAL_K,
     MomentBounds,
     alpha_bounds,
-    alpha_closed_form_d1,
     estimate_alpha,
     estimate_alpha_parallel,
     estimate_z_moment,
@@ -27,9 +26,6 @@ from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
 
 class TestAlphaClosedFormD1:
-    def test_value(self):
-        assert alpha_closed_form_d1() == 1.5
-
     def test_elementary_integral(self):
         # 1 + int_0^1 du / (1 + u)^2 = 3/2
         val, _ = integrate.quad(lambda u: 1.0 / (1.0 + u) ** 2, 0.0, 1.0)
