@@ -43,6 +43,8 @@ __all__ = [
 CONE_HALF_APERTURE = math.pi / 8
 _COS_CONE = math.cos(CONE_HALF_APERTURE)
 _CONE_BOUNDARY_TOL = 1e-12
+# points per block of cone_nn_radii
+_NN_BLOCK = 512
 # the certified covers of R^3, R^4 and R^5, keyed "d3", "d4", "d5"; they are
 # rebuilt, and checked bit for bit, by tests/cone_cover.py
 _COVER_TABLE = Path(__file__).with_name("cone_covers.npz")
@@ -325,15 +327,17 @@ def cone_nn_radii(x, others, directions) -> np.ndarray:
     x = as_point(x)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     others = np.asarray(others, dtype=float).reshape(-1, x.size)
-    if others.shape[0] == 0:
-        return np.full(dirs.shape[0], math.inf)
-    diff = others - x[None, :]
-    dist = np.linalg.norm(diff, axis=1)
-    safe = np.where(dist > 0.0, dist, 1.0)
-    cos = (diff / safe[:, None]) @ dirs.T
-    member = (cos >= _COS_CONE - _CONE_BOUNDARY_TOL) | (dist == 0.0)[:, None]
-    radii = np.where(member, dist[:, None], math.inf)
-    return radii.min(axis=0)
+    radii = np.full(dirs.shape[0], math.inf)
+    # blocks of points keep the (points, cones) temporaries small enough for
+    # the allocator to reuse heap memory rather than map fresh pages per call
+    for start in range(0, others.shape[0], _NN_BLOCK):
+        diff = others[start : start + _NN_BLOCK] - x[None, :]
+        dist = np.linalg.norm(diff, axis=1)
+        safe = np.where(dist > 0.0, dist, 1.0)
+        cos = (diff / safe[:, None]) @ dirs.T
+        member = (cos >= _COS_CONE - _CONE_BOUNDARY_TOL) | (dist == 0.0)[:, None]
+        np.minimum(radii, np.where(member, dist[:, None], math.inf).min(axis=0), out=radii)
+    return radii
 
 
 def _max_pairwise_distance(pts: np.ndarray) -> float:

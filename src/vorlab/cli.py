@@ -103,7 +103,7 @@ class ExperimentConfig:
     replicates: int = _key(_count, 2000)
     probes: int = _key(_count, 5000)
     samples: int = _key(partial(_count, lo=2), 1_000_000)
-    inner_samples: int = _key(partial(_count, lo=2), 4096)
+    inner_samples: int = _key(partial(_count, lo=2, hi=moments.MAX_INNER_SAMPLES), 4096)
     k_max: int = _key(partial(_count, hi=moments.MAX_FACTORIAL_K), 4)
     n_grid: tuple[int, ...] = _key(partial(_tuple, item=_count), (1000, 10000))
     t_grid: tuple[float, ...] = _key(_tuple, (0.5, 1.0, 2.0, 4.0))

@@ -304,6 +304,7 @@ class TestMainEntry:
         (["zmoments", "--k-max", "21"], "k_max"),
         (["cell", "--k-max", "21"], "k_max"),
         (["unionvol-check", "--samples", "1"], "samples"),
+        (["zmoments", "--k-max", "3", "--inner-samples", "1e9"], "inner_samples"),
     ])
     def test_key_bounds_exit_two(self, argv, key, capsys):
         start = time.monotonic()

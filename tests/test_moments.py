@@ -22,6 +22,7 @@ from vorlab.moments import (
     z_moment_closed_form_d1,
 )
 from vorlab.sampling import RandomStream, uniform_ball
+from vorlab.wstat import wk_mc_values
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
 
@@ -130,10 +131,44 @@ class TestEstimateZMoment:
         est = estimate_z_moment(1, 3, outer=4000, inner=1024, rng=RandomStream(57))
         assert abs(est.value - 3.0) <= 4 * est.stderr
 
-    def test_jackknife_handles_small_inner(self):
-        # plug-in bias at inner=64 would be visible; the jackknife removes it
+    def test_small_cap_richardson_is_unbiased(self):
+        # plug-in bias at a cap of 64 inner draws would be visible; counting
+        # the top level's correction twice cancels it
         est = estimate_z_moment(1, 3, outer=8000, inner=64, rng=RandomStream(58))
         assert abs(est.value - 3.0) <= 4 * est.stderr
+
+    def test_top_level_doubling_cancels_truncation_bias(self):
+        # at a cap of 64 the truncated estimator without the doubled top-level
+        # correction is about 8 stderr high here
+        est = estimate_z_moment(1, 4, outer=100_000, inner=64, rng=RandomStream(58, 14))
+        assert abs(est.value - 7.5) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_unbiased_against_d1_closed_form(self, k):
+        # 3x the precision of the criterion-06 fixture (15000 draws): the
+        # multilevel draws have up to 1.64x the jackknife's variance at d=1
+        est = estimate_z_moment(1, k, outer=225_000, rng=RandomStream(58, k))
+        assert abs(est.value - z_moment_closed_form_d1(k)) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("inner", [2, 3, 31, 32, 63, 64, 4095, 4096, 1 << 20])
+    def test_levels_fit_the_cap(self, inner):
+        m0, p = moments._levels(inner)
+        top = m0 << p.size  # inner draws of the top level
+        assert 1 <= m0 <= moments._M0 and top <= inner < 2 * top
+        assert p.sum() == pytest.approx(1.0, abs=1e-15) and np.all(np.diff(p) < 0)
+
+    def test_level_calls_bounded(self, monkeypatch):
+        calls = []
+
+        def recording(d, k, n, m, rng):
+            calls.append((n, m))
+            return wk_mc_values(d, k, n, m, rng)
+
+        monkeypatch.setattr(moments, "wk_mc_values", recording)
+        monkeypatch.setattr(moments, "_POINTS_PER_CALL", 128)
+        estimate_z_moment(2, 3, outer=300, inner=256, rng=RandomStream(65))
+        assert sum(n for n, _ in calls) == 300
+        assert all(1 <= n and n * m <= max(128, m) for n, m in calls)
 
     def test_within_sandwich(self):
         for d, k in [(1, 3), (2, 3), (3, 4)]:
@@ -152,11 +187,22 @@ class TestEstimateZMoment:
         assert a.value == b.value and a.stderr == b.stderr
         assert abs(a.value - 3.0) <= 6 * a.stderr
 
+    def test_multilevel_worker_invariance(self):
+        a = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=2)
+        b = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=2)
+        assert (a.value, a.stderr, a.samples) == (b.value, b.stderr, b.samples)
+        one = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=1)
+        inline = estimate_z_moment(2, 4, outer=400, rng=RandomStream(64))
+        assert (one.value, one.stderr, one.samples) == (inline.value, inline.stderr, 400)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_z_moment(1, 2, outer=1, rng=RandomStream(0))
         with pytest.raises(ValueError):
             estimate_z_moment(1, 3, outer=10, inner=1, rng=RandomStream(0))
+        with pytest.raises(ValueError):
+            estimate_z_moment(1, 3, outer=10, inner=moments.MAX_INNER_SAMPLES + 1,
+                              rng=RandomStream(0))
         with pytest.raises(OverflowError):
             estimate_z_moment(1, 30, outer=10, rng=RandomStream(0))
 

@@ -44,9 +44,8 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_CASES))
-def test_traced_run_records_every_layer(command, tmp_path):
-    argv, layers = _CASES[command]
+def _trace(argv, tmp_path):
+    """The records of one traced CLI run."""
     trace = tmp_path / "trace.jsonl"
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "launch.py"), str(tmp_path / "stamp"), str(trace),
@@ -54,6 +53,21 @@ def test_traced_run_records_every_layer(command, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    records = [json.loads(line) for line in trace.read_text().splitlines()]
-    spans = {r["name"] for r in records if r["kind"] == "span"}
+    return [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("command", sorted(_CASES))
+def test_traced_run_records_every_layer(command, tmp_path):
+    argv, layers = _CASES[command]
+    spans = {r["name"] for r in _trace(argv, tmp_path) if r["kind"] == "span"}
     assert layers <= spans, sorted(layers - spans)
+
+
+def test_zmoment_task_holds_the_level_calls(tmp_path):
+    # of the case's k = 1..3, only k = 3 runs moments._zmoment_sums; its
+    # level calls of wk_mc_values must record below its task span
+    argv, _ = _CASES["zmoments"]
+    spans = {r["id"]: r for r in _trace(argv, tmp_path) if r["kind"] == "span"}
+    level_calls = [r for r in spans.values() if r["name"] == "wstat.wk_mc_values"]
+    assert level_calls
+    assert all(spans[r["parent"]]["name"] == "moments.task" for r in level_calls)
