@@ -86,6 +86,30 @@ class Estimate:
     samples: int
 
 
+# (count, mean, M2) of no values; M2 is the sum of squared deviations
+_NO_STATS = (0, 0.0, 0.0)
+
+
+def _stats(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of the values x; the mean of a constant sample is
+    its value exactly."""
+    if np.all(x == x[0]):
+        return x.size, float(x[0]), 0.0
+    mean = float(x.mean())
+    return x.size, mean, float(np.square(x - mean).sum())
+
+
+def _merge(a, b) -> tuple[int, float, float]:
+    """(count, mean, M2) of two disjoint samples together (Chan, Golub and
+    LeVeque 1979).  Unlike E[x^2] - E[x]^2 it takes no difference of large
+    sums, so values far from 0 keep their spread."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n)
+
+
 # largest d whose caps use _cap_fraction; above it scipy's betainc is faster
 # and is called instead
 _CAP_KERNEL_MAX_D = 19
@@ -166,27 +190,31 @@ def _cap_volumes(d: int, r: np.ndarray, h: np.ndarray) -> np.ndarray:
 def ball_intersection_volumes(d: int, r1, r2, dist) -> np.ndarray:
     """Intersection volumes of ball pairs given radii and center distance.
 
-    Vectorized over broadcastable arrays ``r1``, ``r2``, ``dist``.  Branches
-    on the computed distance with exact comparisons: measure-zero boundaries
+    Vectorized over broadcastable arrays ``r1``, ``r2``, ``dist``.  Selects
+    containment, lens or disjoint by exact comparisons on the computed
+    distance: measure-zero boundaries
     are irrelevant to the Monte Carlo consumers, and exactness on the
     containment branch keeps degenerate configurations bit-reproducible.
     """
     r1, r2, dist = np.broadcast_arrays(
         np.asarray(r1, dtype=float), np.asarray(r2, dtype=float), np.asarray(dist, dtype=float)
     )
+    shape = dist.shape
+    # at least 1-d, so that scalars run the array loops too (a numpy scalar's
+    # ** can differ from numpy's integer-power loop by an ulp)
+    r1, r2, dist = np.atleast_1d(r1, r2, dist)
     # canonical radius order makes the evaluation exactly symmetric in (a, b)
     rlo = np.minimum(r1, r2)
     rhi = np.maximum(r1, r2)
-    out = np.zeros(dist.shape)
     contained = dist <= rhi - rlo
     lens = ~contained & (dist < rhi + rlo)
-    if np.any(contained):
-        out[contained] = unit_ball_volume(d) * rlo[contained] ** d
-    if np.any(lens):
-        a, b, s = rhi[lens], rlo[lens], dist[lens]
-        h1 = (s * s + a * a - b * b) / (2.0 * s)
-        out[lens] = _cap_volumes(d, a, h1) + _cap_volumes(d, b, s - h1)
-    return out
+    # the caps are evaluated on every pair and kept on the lens pairs only;
+    # elsewhere (a zero distance or radius) they may be inf or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h1 = (dist * dist + rhi * rhi - rlo * rlo) / (2.0 * dist)
+        caps = _cap_volumes(d, rhi, h1) + _cap_volumes(d, rlo, dist - h1)
+    out = np.where(contained, unit_ball_volume(d) * rlo**d, np.where(lens, caps, 0.0))
+    return out.reshape(shape)
 
 
 def _check_pair(a: Ball, b: Ball) -> None:
@@ -211,6 +239,10 @@ def two_ball_union_volume(a: Ball, b: Ball) -> float:
     lo, hi = (va, vb) if va <= vb else (vb, va)
     # grouped so a contained ball cancels exactly against its intersection
     return hi + (lo - inter)
+
+
+# mixture draws per union_volume_mc_values call of union_volume_mc
+_MC_CHUNK = 1 << 16
 
 
 def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int, rng) -> np.ndarray:
@@ -264,11 +296,13 @@ def union_volume_mc(balls, samples: int, rng) -> Estimate:
     Parameters
     ----------
     balls : sequence of Ball, all of the same dimension, nonempty
-    samples : number of Monte Carlo draws (>= 1)
+    samples : number of Monte Carlo draws (>= 1), taken in chunks of at most
+        _MC_CHUNK, so memory does not grow with it
     rng : random stream owned by the caller
 
-    Returns the estimate with its sample standard error; a list whose balls
-    all have radius zero gives (0, 0) exactly.
+    Returns the estimate with its sample standard error; constant draws (a
+    single ball, or balls that all have radius zero) give their value
+    exactly, with standard error 0.
     """
     balls = list(balls)
     if not balls:
@@ -283,12 +317,13 @@ def union_volume_mc(balls, samples: int, rng) -> Estimate:
 
     centers = np.stack([b.center for b in balls])[None, :, :]
     radii = np.array([b.radius for b in balls])[None, :]
-    values = union_volume_mc_values(centers, radii, m, rng)[0]
-    if np.all(values == values[0]):
-        # constant draws (single ball, or all radii zero): exact, no noise
-        return Estimate(value=float(values[0]), stderr=0.0, samples=m)
-    value = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    acc = _NO_STATS
+    for start in range(0, m, _MC_CHUNK):
+        values = union_volume_mc_values(centers, radii, min(_MC_CHUNK, m - start), rng)[0]
+        acc = _merge(acc, _stats(values))
+    _, value, m2 = acc
+    # numpy's std(ddof=1) / sqrt(m), bit for bit, on a single chunk
+    stderr = math.sqrt(m2 / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
     return Estimate(value=value, stderr=stderr, samples=m)
 
 

@@ -1,7 +1,9 @@
 """Estimators, closed forms, and bounds for the limiting cell-measure moments.
 
 The asymptotic second moment alpha(d) is the mean of 2 / W^2 under the exact
-two-ball sampler; the k-th limiting moment is the mean of k! / W_k^k.  For
+two-ball sampler, estimated as 1 plus the mean of its excess over the control
+2 / (1 + |Y|^d)^2, which has mean exactly 1, so its error shrinks with
+alpha(d) - 1.  The k-th limiting moment is the mean of k! / W_k^k.  For
 k >= 3, where W_k itself is Monte Carlo estimated, a randomized multilevel
 estimator (Rhee and Glynn 2015; Blanchet and Glynn 2015) removes the
 plug-in bias of w -> k! / w^k, up to O(1/inner^2) for a cap of `inner`
@@ -13,12 +15,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
-from .geometry import Estimate
+from .geometry import _NO_STATS, Estimate, _merge, _stats
 from .sampling import RandomStream, shard_ranges
 from .wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
 
@@ -44,8 +46,10 @@ MAX_FACTORIAL_K = 20
 # the cap on inner draws per configuration (k >= 3)
 MAX_INNER_SAMPLES = 1 << 20
 
-# draws per chunk: two-ball draws, or outer draws of the multilevel estimator
-_W_CHUNK = 1 << 20
+# two-ball draws per chunk: a chunk's temporaries stay cache-sized
+_W_CHUNK = 1 << 16
+# outer draws per chunk of the multilevel estimator
+_OUTER_CHUNK = 1 << 20
 # the multilevel estimator's base inner sample size; level l runs
 # _M0 * 2^(l+1) inner draws and is drawn with probability ∝ 2^(-1.5 l)
 _M0 = 16
@@ -83,27 +87,6 @@ def shard_pool(workers: int, samples: int):
     return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
 
 
-# (count, mean, M2) of no values; M2 is the sum of squared deviations
-_NO_STATS = (0, 0.0, 0.0)
-
-
-def _stats(x: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of the values x."""
-    mean = float(x.mean())
-    return x.size, mean, float(np.square(x - mean).sum())
-
-
-def _merge(a, b) -> tuple[int, float, float]:
-    """(count, mean, M2) of two disjoint samples together (Chan, Golub and
-    LeVeque 1979).  Unlike E[x^2] - E[x]^2 it takes no difference of large
-    sums, so values far from 0 keep their spread."""
-    na, ma, qa = a
-    nb, mb, qb = b
-    n = na + nb
-    delta = mb - ma
-    return n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n)
-
-
 def _estimate(fn, args, pool) -> Estimate:
     """Run fn on every shard, in the pool when there is one, and merge the
     shards' (count, mean, M2) in stream order."""
@@ -114,6 +97,12 @@ def _estimate(fn, args, pool) -> Estimate:
 
 
 def _alpha_sums(args) -> tuple[int, float, float]:
+    """(count, mean, M2) of the excess e = 2/W^2 - 2/a^2 over two-ball draws.
+
+    With U = |Y|^d and L the normalized lens volume, a = 1 + U = W + L, and
+    e = 2 L (a + W) / (W^2 a^2) is formed from positive terms alone.  The
+    control 2/a^2 has mean exactly 1, since U is uniform on [0, 1].
+    """
     d, count, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
     acc = _NO_STATS
@@ -121,16 +110,21 @@ def _alpha_sums(args) -> tuple[int, float, float]:
     while left:
         m = min(_W_CHUNK, left)
         left -= m
-        acc = _merge(acc, _stats(2.0 / sample_w_batch(d, m, rng) ** 2))
+        w, lens = sample_w_batch(d, m, rng).T
+        a = w + lens
+        acc = _merge(acc, _stats(2.0 * lens * (a + w) / (w * a) ** 2))
     return acc
 
 
 def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
-    """Mean of 2 / W^2 over exact two-ball draws, with standard error.
+    """alpha(d) = E[2 / W^2] over exact two-ball draws, with standard error.
 
-    Uses no nested Monte Carlo, so the estimate is free of plug-in bias and
-    the high-precision d = 2, 3 reference values are reachable by sampling
-    alone.
+    Estimated as 1 + the mean of the excess 2/W^2 - 2/(1 + |Y|^d)^2, whose
+    control term has mean exactly 1.  The excess is never negative, so the
+    estimate is never below 1, and its standard error shrinks with
+    alpha(d) - 1 as d grows.  Uses no nested Monte Carlo, so the estimate
+    is free of plug-in bias and the high-precision d = 2, 3 reference
+    values are reachable by sampling alone.
     """
     return _z_moment(d, 2, samples, 0, rng.seed, rng.stream_index, 1)
 
@@ -184,7 +178,7 @@ def _zmoment_sums(args) -> tuple[int, float, float]:
     acc = _NO_STATS
     left = outer
     while left:
-        c = min(_W_CHUNK, left)
+        c = min(_OUTER_CHUNK, left)
         left -= c
         level = np.minimum(np.searchsorted(cum, rng.random(c), side="right"), p.size - 1)
         theta = np.empty(c)
@@ -221,9 +215,12 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
     else:
         fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
     if pool is not None:
-        return _estimate(fn, args, pool)
-    with shard_pool(workers, int(outer)) as own:
-        return _estimate(fn, args, own)
+        est = _estimate(fn, args, pool)
+    else:
+        with shard_pool(workers, int(outer)) as own:
+            est = _estimate(fn, args, own)
+    # the k = 2 shards average the excess over a control of mean 1
+    return est if k > 2 else replace(est, value=1.0 + est.value)
 
 
 def estimate_z_moment(

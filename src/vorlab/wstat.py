@@ -6,6 +6,11 @@ ball, normalized by the unit-ball volume; it always lies in [1, 2].  The
 order-k generalization unions k - 1 independent random balls with the fixed
 one and lies in [1, 2^d].  Orders one and two are exact; higher orders fall
 back to the mixture Monte Carlo estimator.
+
+The two-ball sampler also returns the normalized lens volume
+L = |B(e1, 1) ∩ B(Y, ||Y||)| / |B|, which it computes anyway.  W + L is
+1 + ||Y||^d, uniform on [1, 2], so L is what separates W from a variable of
+known law.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ def _e1(d: int) -> np.ndarray:
     return e
 
 
-def w_from_centers(y) -> np.ndarray:
-    """Exact normalized volumes of B(e1, 1) ∪ B(y, ||y||) for the rows y of an
-    (n, d) center matrix."""
+def _w_and_lens(y) -> tuple[np.ndarray, np.ndarray]:
+    """W and the normalized lens volume L for the rows y of an (n, d) center
+    matrix."""
     y = np.asarray(y, dtype=float)
     d = y.shape[1]
     ny = np.linalg.norm(y, axis=1)
@@ -42,14 +47,22 @@ def w_from_centers(y) -> np.ndarray:
     dist = np.linalg.norm(shifted, axis=1)
     v = unit_ball_volume(d)
     inter = ball_intersection_volumes(d, 1.0, ny, dist)
-    return (v + (v * ny**d - inter)) / v
+    return (v + (v * ny**d - inter)) / v, inter / v
+
+
+def w_from_centers(y) -> np.ndarray:
+    """Exact normalized volumes of B(e1, 1) ∪ B(y, ||y||) for the rows y of an
+    (n, d) center matrix."""
+    return _w_and_lens(y)[0]
 
 
 def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
-    """n independent draws of the two-ball normalized union volume, exactly."""
+    """n independent two-ball draws, exactly, as an (n, 2) array: column 0
+    is W (as w_from_centers gives it) and column 1 the normalized lens
+    volume L, with W + L = 1 + ||Y||^d up to rounding."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return w_from_centers(sample_unit_ball_batch(d, n, rng))
+    return np.column_stack(_w_and_lens(sample_unit_ball_batch(d, n, rng)))
 
 
 def wk_mc_values(

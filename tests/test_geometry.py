@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +133,25 @@ class TestIntersectionVolume:
         with pytest.raises(ValueError):
             ball_intersection_volume(Ball([0.0], 1.0), Ball([0.0, 0.0], 1.0))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 25])
+    def test_degenerate_pairs_batch_equals_scalar(self, d):
+        # zero distances and radii, containment, tangency and disjoint pairs
+        # in one batch: no warning, and each value is that of its own call
+        r1 = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.7, 1.0, 0.3, 1.2, 0.9])
+        r2 = np.array([0.0, 1.0, 1.0, 0.4, 0.0, 0.2, 0.6, 0.3, 0.8, 0.5])
+        s = np.array([0.0, 0.5, 0.0, 0.0, 2.0, 0.5, 1.6, 0.6, 0.9, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = ball_intersection_volumes(d, r1, r2, s)
+            single = [float(ball_intersection_volumes(d, a, b, c)) for a, b, c in zip(r1, r2, s)]
+            grid = ball_intersection_volumes(d, r1[:, None], r2[None, :], s[:, None])
+        assert batch.shape == (10,) and grid.shape == (10, 10)
+        assert batch.tolist() == single
+        assert np.array_equal(np.diagonal(grid), batch)
+        v = unit_ball_volume(d)
+        assert batch[:4].tolist() == [0.0, 0.0, v, v * np.power(np.float64(0.4), d)]
+        assert batch[4] == 0.0 and batch[6] == 0.0
+
     def test_high_dimension_stability(self):
         # the cap evaluation must stay finite and ordered up to d ~ 200
         d = 200
@@ -243,6 +264,37 @@ class TestUnionVolumeMC:
         small = union_volume_mc([a, b], 30000, RandomStream(9))
         big = union_volume_mc([a, b, c], 30000, RandomStream(9))
         assert big.value >= small.value - 4 * math.hypot(small.stderr, big.stderr)
+
+    def test_one_chunk_is_the_plain_mean_and_std(self):
+        # up to one chunk of draws, the estimate is numpy's mean and
+        # std(ddof=1) / sqrt(m) of the same draws, bit for bit
+        balls = [Ball([0.0, 0.0], 1.0), Ball([0.9, 0.2], 0.7), Ball([-0.4, 0.6], 0.5)]
+        m = 5000
+        est = union_volume_mc(balls, m, RandomStream(10))
+        values = union_volume_mc_values(
+            np.stack([b.center for b in balls])[None], np.array([[b.radius for b in balls]]),
+            m, RandomStream(10),
+        )[0]
+        assert est.value == float(values.mean())
+        assert est.stderr == float(values.std(ddof=1) / math.sqrt(m))
+
+    def test_constant_draws_exact_across_chunks(self):
+        b = Ball([0.3, -0.2, 0.1], 1.3)
+        m = 3 * geometry._MC_CHUNK + 5
+        est = union_volume_mc([b], m, RandomStream(11))
+        assert (est.value, est.stderr, est.samples) == (b.volume, 0.0, m)
+
+    def test_memory_bounded_in_samples(self):
+        # one call for all 1e6 draws would hold about 96 bytes per draw
+        balls = [Ball([1.0, 0.0], 1.0), Ball([-0.3, 0.2], 0.4), Ball([0.1, 0.5], 0.5)]
+        tracemalloc.start()
+        try:
+            est = union_volume_mc(balls, 1_000_000, RandomStream(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+        assert est.samples == 1_000_000 and est.stderr > 0.0
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,15 @@ def test_traced_run_records_every_layer(command, tmp_path):
     assert layers <= spans, sorted(layers - spans)
 
 
+def test_alpha_sampler_spans_count_every_draw(tmp_path):
+    # the tracer counts the rows of sample_w_batch's result as draws, so the
+    # sampler must return one row per draw over both workers' chunks
+    argv, _ = _CASES["alpha"]
+    draws = [r["draws"] for r in _trace(argv, tmp_path)
+             if r["kind"] == "span" and r["name"] == "wstat.sample_w_batch"]
+    assert draws and sum(draws) == int(float(argv[argv.index("--samples") + 1]))
+
+
 def test_zmoment_task_holds_the_level_calls(tmp_path):
     # of the case's k = 1..3, only k = 3 runs moments._zmoment_sums; its
     # level calls of wk_mc_values must record below its task span

@@ -31,26 +31,35 @@ class TestWGivenCenter:
         batch = w_from_centers(ys)
         rows = np.array([w_from_centers(y[None, :])[0] for y in ys])
         assert np.array_equal(batch, rows)
-        assert np.array_equal(batch, sample_w_batch(3, 200, RandomStream(31)))
+        assert np.array_equal(batch, sample_w_batch(3, 200, RandomStream(31))[:, 0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_lens_column_closes_the_control(self, d):
+        # W + L = 1 + |Y|^d: column 1 is the lens volume left out of W
+        ys = sample_unit_ball_batch(d, 2000, RandomStream(41, d))
+        w, lens = sample_w_batch(d, 2000, RandomStream(41, d)).T
+        u = np.linalg.norm(ys, axis=1) ** d
+        assert np.allclose(lens, 1.0 + u - w, rtol=0.0, atol=1e-14)
+        assert np.all(lens >= 0.0)
 
 
 class TestSampleW:
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_range(self, d):
-        w = sample_w_batch(d, 50_000, RandomStream(32, d))
+        w = sample_w_batch(d, 50_000, RandomStream(32, d))[:, 0]
         assert np.all(w >= 1.0)
         assert np.all(w <= 2.0)
 
     def test_d1_law(self):
-        w = sample_w_batch(1, 100_000, RandomStream(33))
+        w = sample_w_batch(1, 100_000, RandomStream(33))[:, 0]
         p_one = np.mean(w == 1.0)
         assert abs(p_one - 0.5) < 0.01
         cond = w[w > 1.0] - 1.0
         assert kstest(cond, "uniform").statistic < 0.02
 
     def test_scalar_draw(self):
-        w = sample_w_batch(2, 1, RandomStream(34))
-        assert w.shape == (1,) and 1.0 <= w[0] <= 2.0
+        draw = sample_w_batch(2, 1, RandomStream(34))
+        assert draw.shape == (1, 2) and 1.0 <= draw[0, 0] <= 2.0
 
 
 class TestSampleWk:
@@ -62,7 +71,7 @@ class TestSampleWk:
 
     def test_k2_exact(self):
         # order 2 is the exact two-ball sampler
-        w = sample_w_batch(2, 1, RandomStream(35))
+        w = sample_w_batch(2, 1, RandomStream(35))[:, 0]
         assert 1.0 <= w[0] <= 2.0
 
     def test_k3_d1_fixed_centers_vs_interval_sweep(self):
