@@ -29,7 +29,6 @@ from .moments import (
     estimate_alpha,
     estimate_z_moment,
     z_cdf_d1,
-    z_mgf_bounds,
     z_moment_bounds,
     z_moment_closed_form_d1,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "estimate_alpha",
     "estimate_z_moment",
     "z_cdf_d1",
-    "z_mgf_bounds",
     "z_moment_bounds",
     "z_moment_closed_form_d1",
     "CellExperimentConfig",

@@ -6,9 +6,9 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -28,7 +28,6 @@ __all__ = [
     "render_config",
     "run",
     "write_csv",
-    "rows_from_csv",
     "main",
 ]
 
@@ -75,6 +74,13 @@ def _density(value: str) -> str:
     return value
 
 
+def _output(value: str) -> str:
+    folder = os.path.dirname(os.path.abspath(value))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"directory {folder!r} is missing or not writable")
+    return value
+
+
 def _tuple(value: str, item=float) -> tuple:
     return tuple(item(t) for t in value.split(","))
 
@@ -96,7 +102,7 @@ class ExperimentConfig:
     """
 
     command: str = _key(_command)
-    dim: int = _key(_count, 1)
+    dim: int = _key(partial(_count, hi=geometry.MAX_DIM), 1)
     density: str = _key(_density, "uniform-ball:r=1")
     x: tuple[float, ...] | None = _key(_point, None)  # None means the origin
     n: int = _key(_count, 2000)
@@ -109,7 +115,7 @@ class ExperimentConfig:
     t_grid: tuple[float, ...] = _key(_tuple, (0.5, 1.0, 2.0, 4.0))
     seed: int = _key(_seed, 0)
     workers: int = _key(partial(_count, hi=MAX_WORKERS), 1)
-    output: str | None = _key(str, None)
+    output: str | None = _key(_output, None)
 
 
 @dataclass(frozen=True)
@@ -353,16 +359,6 @@ def write_csv(rows, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def rows_from_csv(text: str) -> list[ResultRow]:
-    """Parse write_csv output back into rows (inverse modulo 12-digit rounding)."""
-    # keyed by the annotation text of each ResultRow field
-    parse = {"str": str, "int": int, "float": float, "int | None": lambda v: int(v) if v else None}
-    return [
-        ResultRow(**{f.name: parse[f.type](rec[f.name]) for f in fields(ResultRow)})
-        for rec in csv.DictReader(io.StringIO(text))
-    ]
 
 
 def _add_flags(p: argparse.ArgumentParser) -> None:

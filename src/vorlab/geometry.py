@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "Ball",
     "Estimate",
+    "MAX_DIM",
     "as_point",
     "unit_ball_volume",
     "ball_intersection_volume",
@@ -25,6 +26,10 @@ __all__ = [
     "union_volume_mc_values",
     "interval_union_length",
 ]
+
+
+# the largest d whose unit-ball volume is a normal double (0.0 from d = 453)
+MAX_DIM = 435
 
 
 def as_point(coords) -> np.ndarray:
@@ -42,10 +47,11 @@ def unit_ball_volume(d: int) -> float:
 
     Evaluated by the two-step recursion V_d = V_{d-2} 2 pi / d, which is the
     same quantity with less rounding than the ratio of transcendentals (it
-    returns 2, pi, and pi^2/2 exactly for d = 1, 2, 4).
+    returns 2, pi, and pi^2/2 exactly for d = 1, 2, 4).  Raises above
+    MAX_DIM, where the volume is no longer a normal double.
     """
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    if int(d) != d or not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {d!r}")
     v = 2.0 if d % 2 else 1.0
     for j in range(2 + d % 2, int(d) + 1, 2):
         v *= 2.0 * math.pi / j

@@ -36,7 +36,6 @@ __all__ = [
     "z_moment_bounds",
     "z_moment_closed_form_d1",
     "z_cdf_d1",
-    "z_mgf_bounds",
     "shard_pool",
 ]
 
@@ -125,6 +124,10 @@ def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
     alpha(d) - 1 as d grows.  Uses no nested Monte Carlo, so the estimate
     is free of plug-in bias and the high-precision d = 2, 3 reference
     values are reachable by sampling alone.
+
+    `rng` only names the stream: its (seed, stream_index) is read, and its
+    position is neither read nor advanced, so two calls with one `rng`
+    return the same estimate.
     """
     return _z_moment(d, 2, samples, 0, rng.seed, rng.stream_index, 1)
 
@@ -237,7 +240,8 @@ def estimate_z_moment(
     (2..MAX_INNER_SAMPLES) caps the inner draws of one configuration; the
     estimator spends about 66 of them per outer draw at the default cap, and
     its bias is O(1/inner^2).  The standard error covers both the outer and
-    the inner variation.
+    the inner variation.  `rng` only names the stream, as in estimate_alpha:
+    its position is neither read nor advanced.
     """
     seed, stream = (None, 0) if rng is None else (rng.seed, rng.stream_index)
     return _z_moment(d, k, outer, inner, seed, stream, 1)
@@ -286,18 +290,3 @@ def z_cdf_d1(z):
     out = np.where(arr < 0.0, 0.0, np.where(np.isinf(arr), 1.0, body))
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
-
-def z_mgf_bounds(s: float, d: int) -> MomentBounds:
-    """Envelope for the limit moment generating function at argument s > 0.
-
-    Lower bound 1 / (1 - s / 2^d) holds for s < 2^d; the upper bound
-    1 / (1 - s) holds for s < 1 and is reported as +inf (unbounded) beyond.
-    """
-    if not s > 0:
-        raise ValueError("s must be > 0")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    cap = 2.0**d
-    lower = 1.0 / (1.0 - s / cap) if s < cap else math.inf
-    upper = 1.0 / (1.0 - s) if s < 1.0 else math.inf
-    return MomentBounds(lower=lower, upper=upper)

@@ -1,17 +1,15 @@
 """Seeded random streams, uniform sampling in balls, and density models.
 
-A density model couples a sampler with a ball-measure oracle mu(B(x, r));
-uniform-ball and gaussian models evaluate it exactly, the uniform-cube model
-numerically by randomized quasi Monte Carlo.  scipy is imported by the
-gaussian and cube oracles only, so the moment estimators and the cell
-experiments run without it.
+A density model couples a sampler with a support test; the uniform-ball and
+gaussian models also evaluate the ball measure mu(B(x, r)) exactly.  scipy
+(`scipy.special`) is imported by the gaussian measures only, so the moment
+estimators and the cell experiments run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,25 +24,6 @@ __all__ = [
     "parse_density",
     "sample_unit_ball_batch",
 ]
-
-# randomized QMC budget for the cube ball-measure: 16 scrambles x 2^13 nodes
-_QMC_REPLICATES = 16
-_QMC_LOG2_NODES = 13
-_QMC_SEED = 0x5EED_CB_E
-
-
-@lru_cache(maxsize=None)
-def _cube_nodes(d: int) -> tuple[np.ndarray, ...]:
-    """The independently scrambled Sobol node sets in [0, 1)^d, read-only."""
-    from scipy.stats import qmc
-
-    sets = []
-    for i in range(_QMC_REPLICATES):
-        gen = np.random.default_rng(np.random.SeedSequence(entropy=_QMC_SEED, spawn_key=(i,)))
-        nodes = qmc.Sobol(d, scramble=True, seed=gen).random(2**_QMC_LOG2_NODES)
-        nodes.setflags(write=False)
-        sets.append(nodes)
-    return tuple(sets)
 
 
 class RandomStream:
@@ -64,12 +43,6 @@ class RandomStream:
         self.position = 0
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         self._gen = np.random.Generator(np.random.Philox(ss))
-
-    def __repr__(self):
-        return (
-            f"RandomStream(seed={self.seed}, stream_index={self.stream_index},"
-            f" position={self.position})"
-        )
 
     def _count(self, size) -> int:
         if size is None:
@@ -110,11 +83,12 @@ def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Sampleable density with an exact-or-numeric ball-measure oracle.
+    """Sampleable density with a support test.
 
     kind is one of "uniform-ball" (radius), "gaussian" (standard normal),
-    "uniform-cube" (side, centered at the origin).  Models are immutable and
-    safe to share across workers.
+    "uniform-cube" (side, centered at the origin); the cube has no
+    ball-measure oracle.  Models are immutable and safe to share across
+    workers.
     """
 
     kind: str
@@ -153,7 +127,8 @@ class DensityModel:
         return True
 
     def ball_measure_batch(self, center, radii) -> np.ndarray:
-        """mu(B(center, r)) for an array of radii r (vectorized where exact)."""
+        """mu(B(center, r)) for an array of radii r; exact, and for the
+        uniform-ball and gaussian models only."""
         center = as_point(center)
         if center.size != self.dimension:
             raise ValueError("center dimension does not match the model")
@@ -181,36 +156,7 @@ class DensityModel:
             q = np.where(np.isfinite(radii), radii, 0.0) ** 2 / 2.0
             vals = sum(w * gammainc(d / 2.0 + k, q) for k, w in enumerate(weights) if w > 0.0)
             return np.where(np.isfinite(radii), vals, 1.0)
-        scalars = [
-            self._cube_measure(center, float(r))[0] if np.isfinite(r) else 1.0
-            for r in np.atleast_1d(radii)
-        ]
-        out = np.array(scalars)
-        return out if radii.ndim else out[0]
-
-    def ball_measure_with_error(self, center, radius: float) -> tuple[float, float]:
-        """Ball measure plus its numerical error estimate (0 for exact modes)."""
-        if self.kind == "uniform-cube":
-            if not radius >= 0:
-                raise ValueError("radius must be >= 0")
-            if not np.isfinite(radius):
-                return 1.0, 0.0
-            return self._cube_measure(as_point(center), float(radius))
-        return float(self.ball_measure_batch(center, float(radius))), 0.0
-
-    def _cube_measure(self, center: np.ndarray, radius: float) -> tuple[float, float]:
-        # fraction of the cube inside the ball, over independently scrambled
-        # Sobol replicates; the spread of replicate means is the error estimate.
-        # The node set is fixed per dimension, which makes the estimate exactly
-        # monotone in the radius.
-        means = np.empty(_QMC_REPLICATES)
-        r2 = radius * radius
-        for i, nodes in enumerate(_cube_nodes(self.dimension)):
-            pts = self.side * (nodes - 0.5)
-            means[i] = np.mean(((pts - center) ** 2).sum(axis=1) <= r2)
-        value = float(means.mean())
-        err = float(means.std(ddof=1) / math.sqrt(_QMC_REPLICATES))
-        return value, err
+        raise ValueError(f"no ball-measure oracle for the {self.kind} density")
 
     def interval_measure(self, lo: float, hi: float) -> float:
         """Exact measure of the interval [lo, hi]; one-dimensional models only."""

@@ -22,7 +22,7 @@ from .sampling import RandomStream, sample_unit_ball_batch
 
 __all__ = [
     "DEFAULT_INNER_SAMPLES",
-    "w_from_centers",
+    "w_and_lens",
     "sample_w_batch",
     "wk_mc_values",
 ]
@@ -36,9 +36,10 @@ def _e1(d: int) -> np.ndarray:
     return e
 
 
-def _w_and_lens(y) -> tuple[np.ndarray, np.ndarray]:
-    """W and the normalized lens volume L for the rows y of an (n, d) center
-    matrix."""
+def w_and_lens(y) -> tuple[np.ndarray, np.ndarray]:
+    """The exact normalized volumes W of B(e1, 1) ∪ B(y, ||y||), and the
+    normalized lens volumes L of B(e1, 1) ∩ B(y, ||y||), for the rows y of
+    an (n, d) center matrix."""
     y = np.asarray(y, dtype=float)
     d = y.shape[1]
     ny = np.linalg.norm(y, axis=1)
@@ -50,19 +51,13 @@ def _w_and_lens(y) -> tuple[np.ndarray, np.ndarray]:
     return (v + (v * ny**d - inter)) / v, inter / v
 
 
-def w_from_centers(y) -> np.ndarray:
-    """Exact normalized volumes of B(e1, 1) ∪ B(y, ||y||) for the rows y of an
-    (n, d) center matrix."""
-    return _w_and_lens(y)[0]
-
-
 def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     """n independent two-ball draws, exactly, as an (n, 2) array: column 0
-    is W (as w_from_centers gives it) and column 1 the normalized lens
-    volume L, with W + L = 1 + ||Y||^d up to rounding."""
+    is W and column 1 the normalized lens volume L, as w_and_lens gives
+    them, with W + L = 1 + ||Y||^d up to rounding."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return np.column_stack(_w_and_lens(sample_unit_ball_batch(d, n, rng)))
+    return np.column_stack(w_and_lens(sample_unit_ball_batch(d, n, rng)))
 
 
 def wk_mc_values(

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own closed forms: cross
 sections are integrated by quadrature, unions are estimated by rejection over
 a bounding ball, and gaussian ball measures reduce to one-dimensional
 integrals against the central chi-square distribution or to Poisson mixtures
-of central chi-square CDFs.
+of central chi-square CDFs.  The envelope of the limit law's moment
+generating function lives here too: only the tests use it.
 """
 
 import math
@@ -13,6 +14,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaln
 from scipy.stats import chi2
+
+from vorlab.moments import MomentBounds
 
 
 def ball_volume_gamma(d: int, r: float = 1.0) -> float:
@@ -116,25 +119,6 @@ def gaussian_ball_measure_mpmath(d: int, center_norm: float, r: float, dps: int 
             weight *= half / j
 
 
-def disk_square_overlap_quad(center: np.ndarray, r: float, side: float) -> float:
-    """Area of disk(center, r) within the centered square of given side."""
-    cx, cy = float(center[0]), float(center[1])
-    half = side / 2
-
-    def height(x):
-        rem = r * r - (x - cx) ** 2
-        if rem <= 0.0:
-            return 0.0
-        h = math.sqrt(rem)
-        return max(min(cy + h, half) - max(cy - h, -half), 0.0)
-
-    lo, hi = max(cx - r, -half), min(cx + r, half)
-    if lo >= hi:
-        return 0.0
-    val, _ = integrate.quad(height, lo, hi, limit=200)
-    return val
-
-
 def ks_statistic(sample, cdf) -> float:
     """Exact sup-distance between the sample ECDF and a CDF callable."""
     s = np.sort(np.asarray(sample, dtype=float))
@@ -180,19 +164,18 @@ def greedy_cap_cover_quadratic(cand: np.ndarray, half_aperture: float) -> np.nda
     return np.array(rows)
 
 
-def cube_ball_measure_rqmc(d: int, side: float, center, radius: float, seed: int,
-                           replicates: int, log2_nodes: int) -> tuple[float, float]:
-    """Cube ball measure over freshly built scrambled Sobol node sets.
 
-    Replicate i scrambles with SeedSequence(seed, spawn_key=(i,)); returns
-    the mean over replicates and its standard error.
+def z_mgf_bounds(s: float, d: int) -> MomentBounds:
+    """Envelope for the limit moment generating function at argument s > 0.
+
+    Lower bound 1 / (1 - s / 2^d) holds for s < 2^d; the upper bound
+    1 / (1 - s) holds for s < 1 and is reported as +inf (unbounded) beyond.
     """
-    from scipy.stats import qmc
-
-    center = np.asarray(center, dtype=float)
-    means = np.empty(replicates)
-    for i in range(replicates):
-        gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        pts = side * (qmc.Sobol(d, scramble=True, seed=gen).random(2**log2_nodes) - 0.5)
-        means[i] = np.mean(((pts - center) ** 2).sum(axis=1) <= radius * radius)
-    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(replicates))
+    if not s > 0:
+        raise ValueError("s must be > 0")
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    cap = 2.0**d
+    lower = 1.0 / (1.0 - s / cap) if s < cap else math.inf
+    upper = 1.0 / (1.0 - s) if s < 1.0 else math.inf
+    return MomentBounds(lower=lower, upper=upper)

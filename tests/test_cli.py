@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import math
 import os
 import re
@@ -13,6 +16,7 @@ import pytest
 
 import vorlab
 from vorlab import moments
+from vorlab.geometry import MAX_DIM
 from vorlab.cli import (
     COMMANDS,
     CSV_HEADER,
@@ -23,7 +27,6 @@ from vorlab.cli import (
     main,
     parse_config,
     render_config,
-    rows_from_csv,
     run,
     write_csv,
 )
@@ -33,8 +36,17 @@ def _strip_elapsed(csv_text: str) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in csv_text.strip().splitlines()]
 
 
+def rows_from_csv(text: str) -> list[ResultRow]:
+    """Parse write_csv output back into rows (inverse modulo 12-digit rounding)."""
+    # keyed by the annotation text of each ResultRow field
+    parse = {"str": str, "int": int, "float": float, "int | None": lambda v: int(v) if v else None}
+    return [
+        ResultRow(**{f.name: parse[f.type](rec[f.name]) for f in fields(ResultRow)})
+        for rec in csv.DictReader(io.StringIO(text))
+    ]
+
+
 def _csv_text(rows) -> str:
-    import io
     from contextlib import redirect_stdout
 
     buf = io.StringIO()
@@ -305,6 +317,9 @@ class TestMainEntry:
         (["cell", "--k-max", "21"], "k_max"),
         (["unionvol-check", "--samples", "1"], "samples"),
         (["zmoments", "--k-max", "3", "--inner-samples", "1e9"], "inner_samples"),
+        (["alpha", "--dim", "453"], "dim"),
+        (["zmoments", "--dim", "600"], "dim"),
+        (["alpha", "--samples", "2e6", "--output", "/nonexistent/dir/a.csv"], "output"),
     ])
     def test_key_bounds_exit_two(self, argv, key, capsys):
         start = time.monotonic()
@@ -322,10 +337,16 @@ class TestMainEntry:
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["--config", "/nonexistent/config.txt"]) == 2
 
-    def test_runtime_error_exit_three(self, capsys):
-        code = main(["alpha", "--dim", "1", "--samples", "5000",
-                     "--output", "/nonexistent-dir/x.csv"])
+    def test_runtime_error_exit_three(self, tmp_path, capsys):
+        # the output's directory exists, so only writing the CSV fails: the
+        # output is a directory itself
+        code = main(["alpha", "--dim", "1", "--samples", "5000", "--output", str(tmp_path)])
         assert code == 3
+
+    def test_alpha_at_max_dim_exit_zero(self, capsys):
+        assert main(["alpha", "--dim", str(MAX_DIM), "--samples", "200"]) == 0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row.d == MAX_DIM and math.isfinite(row.estimate)
 
     def test_x_outside_support_is_config_error(self, capsys):
         code = main(["cell", "--dim", "2", "--x", "3,3", "--n", "50",
@@ -392,8 +413,23 @@ _NO_SCIPY_RUNS = {
 
 
 class TestScipyImports:
-    """Only the gaussian and cube ball-measure oracles, and caps above d = 19,
-    load scipy; no command at these settings reaches them."""
+    """Only the gaussian measures and caps above d = 19 load scipy, and only
+    scipy.special; no command at these settings reaches them."""
+
+    def test_src_imports_only_scipy_special(self):
+        src = Path(vorlab.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"
+                          and n.split(".")[:2] != ["scipy", "special"]]
+        assert found == []
 
     @pytest.mark.parametrize("argv", list(_NO_SCIPY_RUNS.values()), ids=list(_NO_SCIPY_RUNS))
     def test_commands_load_no_scipy(self, argv):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ from scipy.special import betainc
 
 from vorlab import geometry
 from vorlab.geometry import (
+    MAX_DIM,
     Ball,
     ball_intersection_volume,
     ball_intersection_volumes,
@@ -41,10 +43,16 @@ class TestUnitBallVolume:
     def test_matches_gamma_formula(self, d):
         assert unit_ball_volume(d) == pytest.approx(ball_volume_gamma(d), rel=1e-13)
 
-    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("d", [0, -1, MAX_DIM + 1, 453])
     def test_rejects_bad_dimension(self, d):
         with pytest.raises(ValueError):
             unit_ball_volume(d)
+
+    def test_normal_up_to_max_dim(self):
+        assert unit_ball_volume(MAX_DIM) >= sys.float_info.min
+        # pi^(d/2) / Gamma(d/2 + 1) in log space: Gamma overflows a double here
+        log_v = MAX_DIM / 2 * math.log(math.pi) - math.lgamma(MAX_DIM / 2 + 1)
+        assert unit_ball_volume(MAX_DIM) == pytest.approx(math.exp(log_v), rel=1e-11)
 
 
 class TestBall:

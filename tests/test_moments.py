@@ -18,13 +18,14 @@ from vorlab.moments import (
     estimate_z_moment,
     estimate_z_moment_parallel,
     z_cdf_d1,
-    z_mgf_bounds,
     z_moment_bounds,
     z_moment_closed_form_d1,
 )
 from vorlab.sampling import RandomStream, sample_unit_ball_batch, uniform_ball
-from vorlab.wstat import sample_w_batch, w_from_centers, wk_mc_values
+from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
+
+from oracles import z_mgf_bounds
 
 
 class TestAlphaClosedFormD1:
@@ -55,11 +56,21 @@ class TestEstimateAlpha:
         # the excess over the control is nonnegative draw by draw
         assert estimate_alpha(20, 50, RandomStream(seed)).value >= 1.0
 
+    def test_rng_only_names_the_stream(self):
+        # (seed, stream_index) is read; the position is neither read nor advanced
+        rng = RandomStream(60, 2)
+        a = estimate_alpha(2, 1000, rng)
+        assert estimate_alpha(2, 1000, rng) == a and rng.position == 0
+        rng.random(7)
+        assert estimate_alpha(2, 1000, rng) == a
+        z = estimate_z_moment(2, 3, 20, 64, rng=rng)
+        assert estimate_z_moment(2, 3, 20, 64, rng=rng) == z and rng.position == 7
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_agrees_with_plain_mean(self, d):
         n = 200_000
         est = estimate_alpha(d, n, RandomStream(57, d))
-        x = 2.0 / w_from_centers(sample_unit_ball_batch(d, n, RandomStream(58, d))) ** 2
+        x = 2.0 / w_and_lens(sample_unit_ball_batch(d, n, RandomStream(58, d)))[0] ** 2
         plain, plain_se = x.mean(), x.std(ddof=1) / math.sqrt(n)
         assert abs(est.value - plain) <= 4 * math.hypot(est.stderr, plain_se)
 

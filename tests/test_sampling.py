@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest, qmc
+from scipy.stats import kstest
 
-from vorlab import sampling
 from vorlab.sampling import (
     DensityModel,
     RandomStream,
@@ -17,8 +16,6 @@ from vorlab.sampling import (
 )
 
 from oracles import (
-    cube_ball_measure_rqmc,
-    disk_square_overlap_quad,
     gaussian_ball_measure_mpmath,
     gaussian_ball_measure_poisson,
     gaussian_ball_measure_quad,
@@ -153,7 +150,7 @@ class TestBallMeasure:
                 assert m.ball_measure_batch(np.zeros(d), r) == pytest.approx(r**d, abs=1e-14)
 
     def test_huge_radius_is_one(self):
-        for m in (uniform_ball(2), gaussian(2), uniform_cube(2)):
+        for m in (uniform_ball(2), gaussian(2)):
             assert m.ball_measure_batch([0.1, 0.0], 1e9) == pytest.approx(1.0, abs=1e-9)
             assert m.ball_measure_batch([0.1, 0.0], math.inf) == 1.0
 
@@ -201,22 +198,8 @@ class TestBallMeasure:
         support = 1.2**3 * 4 * math.pi / 3
         assert got == pytest.approx(lens / support, abs=max(1e-10, 10 * err))
 
-    def test_cube_d1_exact_interval(self):
-        m = uniform_cube(1, side=2.0)
-        v, err = m.ball_measure_with_error([0.3], 0.5)
-        # interval [-0.2, 0.8] within [-1, 1] has measure 0.5
-        assert v == pytest.approx(0.5, abs=max(4 * err, 1e-3))
-        assert err > 0.0
-
-    def test_cube_d2_vs_quadrature(self):
-        m = uniform_cube(2, side=2.0)
-        center = np.array([0.4, -0.2])
-        v, err = m.ball_measure_with_error(center, 0.9)
-        oracle = disk_square_overlap_quad(center, 0.9, 2.0) / 4.0
-        assert v == pytest.approx(oracle, abs=max(4 * err, 1e-3))
-
     def test_negative_radius_rejected(self):
-        for m in (uniform_ball(1), gaussian(1), uniform_cube(1)):
+        for m in (uniform_ball(1), gaussian(1)):
             for bad in (-0.5, math.nan):
                 with pytest.raises(ValueError):
                     m.ball_measure_batch([0.0], [0.5, bad])
@@ -229,39 +212,11 @@ class TestBallMeasure:
                 r1, r2 = np.sort(rng.uniform(0, 2.5, 2))
                 assert m.ball_measure_batch(center, r1) <= m.ball_measure_batch(center, r2)
 
-    def test_monotone_in_radius_cube(self):
-        # fixed QMC node set makes the numeric estimate exactly monotone
-        m = uniform_cube(2, side=2.0)
-        center = np.array([0.3, 0.3])
-        vals = m.ball_measure_batch(center, [0.2, 0.5, 0.9, 1.4, 2.5])
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_cube_node_sets_built_once_per_dimension(self, monkeypatch):
-        built = []
-        sobol = qmc.Sobol
-
-        def counting_sobol(*args, **kwargs):
-            built.append(args)
-            return sobol(*args, **kwargs)
-
-        monkeypatch.setattr(qmc, "Sobol", counting_sobol)
-        sampling._cube_nodes.cache_clear()
-        m = uniform_cube(3, side=2.0)
-        center = np.array([0.3, -0.2, 0.1])
-        radii = [0.2, 0.7, 1.1]
-        try:
-            first = m.ball_measure_batch(center, radii)
-            second = m.ball_measure_batch(center, radii[::-1])
-        finally:
-            sampling._cube_nodes.cache_clear()
-        assert len(built) == sampling._QMC_REPLICATES
-        uncached = [
-            cube_ball_measure_rqmc(3, 2.0, center, r, sampling._QMC_SEED,
-                                   sampling._QMC_REPLICATES, sampling._QMC_LOG2_NODES)[0]
-            for r in radii
-        ]
-        assert first.tolist() == uncached
-        assert second.tolist() == uncached[::-1]
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cube_has_no_ball_measure(self, d):
+        # the cube keeps its sampler and support test, which cell and diam use
+        with pytest.raises(ValueError, match="uniform-cube"):
+            uniform_cube(d, side=2.0).ball_measure_batch(np.zeros(d), [0.5, 1.0])
 
 
 class TestProbabilityIntegralTransform:

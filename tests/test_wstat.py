@@ -7,29 +7,29 @@ from scipy.stats import kstest
 from vorlab.geometry import Ball, interval_union_length, union_volume_mc
 from vorlab.moments import estimate_z_moment
 from vorlab.sampling import RandomStream, sample_unit_ball_batch
-from vorlab.wstat import sample_w_batch, w_from_centers, wk_mc_values
+from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
 
 
 class TestWGivenCenter:
     def test_d1_right_half_is_one(self):
         # the random ball is swallowed by the fixed one for y >= 0
-        assert w_from_centers([[0.5], [0.25]]).tolist() == [1.0, 1.0]
+        assert w_and_lens([[0.5], [0.25]])[0].tolist() == [1.0, 1.0]
 
     def test_d1_left_half_is_one_plus_u(self):
-        w = w_from_centers([[-0.5], [-0.8]])
+        w = w_and_lens([[-0.5], [-0.8]])[0]
         assert w[0] == 1.5
         assert w[1] == pytest.approx(1.8, abs=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_zero_center_is_one(self, d):
-        assert w_from_centers(np.zeros((1, d)))[0] == 1.0
+        assert w_and_lens(np.zeros((1, d)))[0][0] == 1.0
 
     def test_matches_batch_formula(self):
         # each row's value does not depend on the batch it is evaluated in,
         # and the sampler is the kernel applied to its own center draws
         ys = sample_unit_ball_batch(3, 200, RandomStream(31))
-        batch = w_from_centers(ys)
-        rows = np.array([w_from_centers(y[None, :])[0] for y in ys])
+        batch = w_and_lens(ys)[0]
+        rows = np.array([w_and_lens(y[None, :])[0][0] for y in ys])
         assert np.array_equal(batch, rows)
         assert np.array_equal(batch, sample_w_batch(3, 200, RandomStream(31))[:, 0])
 
@@ -107,7 +107,7 @@ class TestCoupledMonotonicity:
         rng = RandomStream(38)
         d = 2
         ys = sample_unit_ball_batch(d, 3, rng)
-        w2 = w_from_centers(ys[:1])[0]
+        w2 = w_and_lens(ys[:1])[0][0]
         assert 1.0 <= w2
         prev = w2
         for k in (3, 4):
