@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import as_point
+from .geometry import as_point, row_sq_norms
 from .sampling import DensityModel, RandomStream, shard_ranges
 
 __all__ = [
@@ -43,8 +43,9 @@ __all__ = [
 CONE_HALF_APERTURE = math.pi / 8
 _COS_CONE = math.cos(CONE_HALF_APERTURE)
 _CONE_BOUNDARY_TOL = 1e-12
-# points per block of cone_nn_radii
-_NN_BLOCK = 512
+# points per block of cone_nn_radii's nearest-first walk: at d = 3 the
+# nearest 110 points set every radius in the median replicate
+_NN_BLOCK = 64
 # the certified covers of R^3, R^4 and R^5, keyed "d3", "d4", "d5"; they are
 # rebuilt, and checked bit for bit, by tests/cone_cover.py
 _COVER_TABLE = Path(__file__).with_name("cone_covers.npz")
@@ -55,15 +56,28 @@ _QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 # nearly every replicate has an empty cone and an infinite upper diameter
 _DIAM_MAX_D = 5
 
+# largest n * d, and probes * d, of a cell or diam config: a replicate's
+# (n - 1, d) sample and (probes, d) draws stay within 512 MB each
+_MAX_ELEMENTS = 1 << 26
+
 # elements of the (block, n, d) difference array built per block of queries
 _BLOCK_ELEMENTS = 1 << 24
 # nearest neighbours of x whose bisectors prefilter the probes, and probes
 # per prefilter block, so that its (neighbours, block) arrays stay in cache
 _CERT_NEIGHBORS = 32
 _CERT_BLOCK = 1024
+# the nearest of those neighbours, whose bisectors each block meets first
+_CERT_STAGE = 4
 # relative margin that keeps the prefilter and the exact check's radius clear
 # of rounding, which is about d * 2^-53 of the same scale
 _CERT_MARGIN = 1e-9
+
+
+def _check_elements(key: str, count: int, d: int) -> None:
+    if count * d > _MAX_ELEMENTS:
+        raise ValueError(
+            f"key {key!r}: {key} * dim = {count * d} exceeds the budget of 2^26 elements"
+        )
 
 
 def _sq_dist_blocks(q: np.ndarray, pts: np.ndarray):
@@ -99,7 +113,23 @@ class NNIndex:
         return out
 
 
-def _cell_member(x: np.ndarray, others: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _by_distance(x: np.ndarray, others: np.ndarray):
+    """(offsets others - x, their squared lengths, the stable nearest-first
+    order of the offsets): what both the membership test and the cone radii
+    walk, computed once per replicate."""
+    rel = others - x
+    dist2 = row_sq_norms(rel)
+    # distinct distances have one order, which numpy's default sort finds
+    # several times faster than its stable sort; ties need the stable one
+    order = np.argsort(dist2)
+    if np.any(dist2[order[1:]] == dist2[order[:-1]]):
+        order = np.argsort(dist2, kind="stable")
+    return rel, dist2, order
+
+
+def _cell_member(
+    x: np.ndarray, others: np.ndarray, draws: np.ndarray, by_distance=None
+) -> np.ndarray:
     """Mask of the draws whose nearest point among {x} plus `others` is x,
     with ties to x: the answer of `NNIndex` on the whole set, index 0.
 
@@ -109,28 +139,33 @@ def _cell_member(x: np.ndarray, others: np.ndarray, draws: np.ndarray) -> np.nda
     nearest neighbours.  The margin, _CERT_MARGIN (rho + max |y - x|)^2 with
     rho >= |p - x| over the block, is far above the rounding of both this
     form and the brute force's squared distances, so a rejected draw also
-    loses in `NNIndex`.  A draw at distance rho from x can only lose to, or
+    loses in `NNIndex`.  Each block is tested against the `_CERT_STAGE`
+    nearest bisectors first, which reject most draws, and only their
+    survivors against the rest, so the survivors are those of one test
+    against all of them.  A draw at distance rho from x can only lose to, or
     tie with, points within 2 rho of x, so each survivor is decided by
     `NNIndex` on x (index 0) and the points within 2 (1 + _CERT_MARGIN)
-    times the largest survivor distance.
+    times the largest survivor distance.  `by_distance` is
+    `_by_distance(x, others)`, computed here when None.
     """
-    rel_others = others - x
-    dist2 = (rel_others**2).sum(axis=1)
-    order = np.argsort(dist2, kind="stable")
+    rel_others, dist2, order = by_distance or _by_distance(x, others)
     sorted2 = dist2[order]
     near = rel_others[order[:_CERT_NEIGHBORS]]
     near_sq = sorted2[:_CERT_NEIGHBORS]
     reach = math.sqrt(near_sq.max(initial=0.0))
-    twice_near = 2.0 * near
+    first, rest = np.split(2.0 * near, [_CERT_STAGE])
     keep = np.empty(draws.shape[0], dtype=bool)
     for lo in range(0, draws.shape[0], _CERT_BLOCK):
         rel = draws[lo : lo + _CERT_BLOCK] - x
         # sqrt(d) times the largest coordinate bounds every |p - x|
         rho = math.sqrt(x.size) * float(np.abs(rel).max())
         cut = near_sq + _CERT_MARGIN * (rho + reach) ** 2
-        keep[lo : lo + _CERT_BLOCK] = (twice_near @ rel.T <= cut[:, None]).all(axis=0)
+        block = (first @ rel.T <= cut[:_CERT_STAGE, None]).all(axis=0)
+        live = np.flatnonzero(block)
+        block[live] = (rest @ rel[live].T <= cut[_CERT_STAGE:, None]).all(axis=0)
+        keep[lo : lo + _CERT_BLOCK] = block
     cand = np.flatnonzero(keep)
-    rho2 = ((draws[cand] - x) ** 2).sum(axis=1).max(initial=0.0)
+    rho2 = row_sq_norms(draws[cand] - x).max(initial=0.0)
     radius2 = 4.0 * rho2 * (1.0 + _CERT_MARGIN) ** 2
     local = others[order[: np.searchsorted(sorted2, radius2, side="right")]]
     keep[cand] = NNIndex(np.vstack([x[None, :], local])).query(draws[cand]) == 0
@@ -138,13 +173,14 @@ def _cell_member(x: np.ndarray, others: np.ndarray, draws: np.ndarray) -> np.nda
 
 
 def _probe_hits(
-    x: np.ndarray, others, model: DensityModel, probes: int, rng: RandomStream
+    x: np.ndarray, others, model: DensityModel, probes: int, rng: RandomStream,
+    by_distance=None,
 ) -> np.ndarray:
     """Draw probes from the model; return those whose nearest point among {x}
     plus `others` is x (index 0, so x wins every tie)."""
     others = np.asarray(others, dtype=float).reshape(-1, x.size)
     draws = model.sample(rng, probes)
-    return draws[_cell_member(x, others, draws)]
+    return draws[_cell_member(x, others, draws, by_distance)]
 
 
 def exact_cell_measure_1d(x, others, model: DensityModel) -> float:
@@ -192,6 +228,8 @@ class CellExperimentConfig:
         object.__setattr__(self, "x", x)
         if min(self.n, self.replicates, self.probes, self.k_max, self.workers) < 1:
             raise ValueError("counts must be >= 1")
+        _check_elements("n", self.n, self.density.dimension)
+        _check_elements("probes", self.probes, self.density.dimension)
         if self.measure_mode not in ("probe", "exact"):
             raise ValueError(f"unknown measure_mode {self.measure_mode!r}")
         if self.measure_mode == "probe" and self.k_max > self.probes:
@@ -318,23 +356,30 @@ def cone_directions(d: int) -> np.ndarray:
     return dirs
 
 
-def cone_nn_radii(x, others, directions) -> np.ndarray:
+def cone_nn_radii(x, others, directions, by_distance=None) -> np.ndarray:
     """Per-cone distance from x to its nearest point, +inf for empty cones.
 
     A point belongs to every cone whose closed angular condition it meets;
-    a point coinciding with x belongs to all cones at distance zero.
+    a point coinciding with x belongs to all cones at distance zero.  The
+    points are visited nearest first, `_NN_BLOCK` at a time, and the walk
+    stops at the first block whose nearest point is farther than every
+    radius found so far: no farther point can lower one.  While a cone is
+    empty its radius is inf, so a point set with an empty cone is walked to
+    the end.  `by_distance` is `_by_distance(x, others)`, computed here when
+    None.
     """
     x = as_point(x)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     others = np.asarray(others, dtype=float).reshape(-1, x.size)
+    rel, dist2, order = by_distance or _by_distance(x, others)
     radii = np.full(dirs.shape[0], math.inf)
-    # blocks of points keep the (points, cones) temporaries small enough for
-    # the allocator to reuse heap memory rather than map fresh pages per call
-    for start in range(0, others.shape[0], _NN_BLOCK):
-        diff = others[start : start + _NN_BLOCK] - x[None, :]
-        dist = np.linalg.norm(diff, axis=1)
+    for start in range(0, order.size, _NN_BLOCK):
+        idx = order[start : start + _NN_BLOCK]
+        dist = np.sqrt(dist2[idx])
+        if dist[0] > radii.max():
+            break
         safe = np.where(dist > 0.0, dist, 1.0)
-        cos = (diff / safe[:, None]) @ dirs.T
+        cos = (rel[idx] / safe[:, None]) @ dirs.T
         member = (cos >= _COS_CONE - _CONE_BOUNDARY_TOL) | (dist == 0.0)[:, None]
         np.minimum(radii, np.where(member, dist[:, None], math.inf).min(axis=0), out=radii)
     return radii
@@ -360,8 +405,11 @@ def estimate_cell_diameter(
         raise ValueError("probes must be >= 2")
     x = as_point(x)
     d = x.size
-    lower = _max_pairwise_distance(_probe_hits(x, others, model, int(probes), rng))
-    radii = cone_nn_radii(x, others, cone_directions(d))
+    others = np.asarray(others, dtype=float).reshape(-1, d)
+    by_distance = _by_distance(x, others)
+    hits = _probe_hits(x, others, model, int(probes), rng, by_distance)
+    lower = _max_pairwise_distance(hits)
+    radii = cone_nn_radii(x, others, cone_directions(d), by_distance)
     upper = math.sqrt(d) * float(radii.max())
     return lower, upper
 
@@ -388,6 +436,8 @@ class DiameterExperimentConfig:
             raise ValueError("n_grid must be a nonempty increasing sequence")
         if min(*self.n_grid, self.replicates, self.workers) < 1 or self.probes < 2:
             raise ValueError("counts must be positive (probes >= 2)")
+        _check_elements("n_grid", self.n_grid[-1], self.density.dimension)
+        _check_elements("probes", self.probes, self.density.dimension)
         if not self.density.support_contains(self.x):
             raise ValueError("conditioning point x lies outside the support")
         if self.density.dimension > _DIAM_MAX_D:

@@ -75,6 +75,8 @@ def _density(value: str) -> str:
 
 
 def _output(value: str) -> str:
+    if os.path.isdir(value):
+        raise ValueError(f"{value!r} is a directory")
     folder = os.path.dirname(os.path.abspath(value))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ValueError(f"directory {folder!r} is missing or not writable")

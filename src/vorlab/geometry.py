@@ -42,6 +42,29 @@ def as_point(coords) -> np.ndarray:
     return p
 
 
+# widest rows that row_sq_norms sums column by column
+_ROW_LOOP_MAX_D = 7
+
+
+def row_sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms along the last axis of v.
+
+    numpy's reduction over a short last axis is several times slower than
+    one pass per column, so up to _ROW_LOOP_MAX_D columns the squares are
+    summed column by column, left to right: numpy's own order for fewer
+    than 8 terms.  Wider rows use numpy's pairwise reduction, which is
+    faster there.  Either way the result equals (v * v).sum(axis=-1) bit
+    for bit.
+    """
+    if v.shape[-1] > _ROW_LOOP_MAX_D:
+        return np.square(v).sum(axis=-1)
+    out = np.square(v[..., 0])
+    tmp = np.empty_like(out)
+    for j in range(1, v.shape[-1]):
+        out += np.square(v[..., j], out=tmp)
+    return out
+
+
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in d dimensions, pi^(d/2) / Gamma(d/2 + 1).
 
@@ -275,17 +298,21 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
     cum = np.cumsum(weights, axis=1)
 
     u = rng.random((nsets, m))
-    src = np.minimum((u[:, :, None] > cum[:, None, :]).sum(axis=2), k - 1)
+    # the number of cumulative weights below u, capped at k - 1
+    src = np.zeros((nsets, m), dtype=np.intp)
+    for j in range(k):
+        src += u > cum[:, j, None]
+    np.minimum(src, k - 1, out=src)
 
     g = rng.standard_normal((nsets, m, d))
-    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    g /= np.sqrt(row_sq_norms(g))[:, :, None]
     rows = np.arange(nsets)[:, None]
     rad = rng.random((nsets, m)) ** (1.0 / d) * radii[rows, src]
     x = centers[rows, src] + g * rad[:, :, None]
 
     hits = np.zeros((nsets, m), dtype=np.int32)
     for j in range(k):
-        d2 = ((x - centers[:, None, j, :]) ** 2).sum(axis=2)
+        d2 = row_sq_norms(x - centers[:, None, j, :])
         inside = d2 <= (radii[:, j] ** 2)[:, None]
         # the drawn point lies in its source ball by construction; rounding
         # at the boundary must not drop it

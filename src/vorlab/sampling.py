@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_point, ball_intersection_volumes, unit_ball_volume
+from .geometry import as_point, ball_intersection_volumes, row_sq_norms, unit_ball_volume
 
 __all__ = [
     "RandomStream",
@@ -77,7 +77,7 @@ def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g /= np.sqrt(row_sq_norms(g))[:, None]
     return g * (rng.random(n) ** (1.0 / d))[:, None]
 
 

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ball_intersection_volumes, union_volume_mc_values, unit_ball_volume
+from .geometry import (
+    ball_intersection_volumes,
+    row_sq_norms,
+    union_volume_mc_values,
+    unit_ball_volume,
+)
 from .sampling import RandomStream, sample_unit_ball_batch
 
 __all__ = [
@@ -42,10 +47,10 @@ def w_and_lens(y) -> tuple[np.ndarray, np.ndarray]:
     an (n, d) center matrix."""
     y = np.asarray(y, dtype=float)
     d = y.shape[1]
-    ny = np.linalg.norm(y, axis=1)
+    ny = np.sqrt(row_sq_norms(y))
     shifted = y.copy()
     shifted[:, 0] -= 1.0
-    dist = np.linalg.norm(shifted, axis=1)
+    dist = np.sqrt(row_sq_norms(shifted))
     v = unit_ball_volume(d)
     inter = ball_intersection_volumes(d, 1.0, ny, dist)
     return (v + (v * ny**d - inter)) / v, inter / v
@@ -78,7 +83,7 @@ def wk_mc_values(
         [np.broadcast_to(_e1(d), (n, 1, d)), y], axis=1
     )
     radii = np.concatenate(
-        [np.ones((n, 1)), np.linalg.norm(y, axis=2)], axis=1
+        [np.ones((n, 1)), np.sqrt(row_sq_norms(y))], axis=1
     )
     v = unit_ball_volume(d)
     return union_volume_mc_values(centers, radii, inner_samples, rng) / v

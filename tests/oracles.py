@@ -164,6 +164,26 @@ def greedy_cap_cover_quadratic(cand: np.ndarray, half_aperture: float) -> np.nda
     return np.array(rows)
 
 
+def cone_nn_radii_brute(x, others, dirs, cos_cut: float) -> np.ndarray:
+    """Per-cone distance from x to its nearest point, +inf for an empty cone.
+
+    Every point is tested against every cone, in input order, with no sort
+    and no early exit.  A point belongs to a cone when the cosine of its
+    angle to the axis, summed coordinate by coordinate, is at least
+    `cos_cut`; a point that coincides with x belongs to every cone.
+    """
+    x = np.asarray(x, dtype=float)
+    others = np.asarray(others, dtype=float).reshape(-1, x.size)
+    dirs = np.asarray(dirs, dtype=float)
+    radii = np.full(len(dirs), math.inf)
+    for p in others:
+        diff = p - x
+        dist = float(np.sqrt((diff * diff).sum()))
+        member = np.ones(len(dirs), dtype=bool) if dist == 0.0 else (
+            (dirs * (diff / dist)).sum(axis=1) >= cos_cut)
+        radii[member] = np.minimum(radii[member], dist)
+    return radii
+
 
 def z_mgf_bounds(s: float, d: int) -> MomentBounds:
     """Envelope for the limit moment generating function at argument s > 0.

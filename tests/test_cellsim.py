@@ -27,7 +27,7 @@ from vorlab.cellsim import (
 from vorlab.sampling import RandomStream, gaussian, uniform_ball, uniform_cube
 
 import cone_cover
-from oracles import d1_cell_interval, greedy_cap_cover_quadratic
+from oracles import cone_nn_radii_brute, d1_cell_interval, greedy_cap_cover_quadratic
 
 
 class TestNNIndex:
@@ -192,6 +192,16 @@ class TestCellMember:
         # few gaussian probes reach the cell; the shifted ones fill it
         draws = np.vstack([m.sample(rng, 4000), x + m.sample(rng, 1000)])
         assert _member_matches_brute(x, m.sample(rng, 1999), draws).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nearest_first_order_is_stable(self, d):
+        # ties (copies, and sign flips around x) keep their input order
+        pts = uniform_ball(d).sample(RandomStream(67, d), 500)
+        for others in (pts, np.vstack([pts, -pts, pts[:100]])):
+            rel, dist2, order = cellsim._by_distance(np.zeros(d), others)
+            assert np.array_equal(rel, others)
+            assert np.array_equal(dist2, (others * others).sum(axis=1))
+            assert np.array_equal(order, np.argsort(dist2, kind="stable"))
 
     def test_prefilter_memory_bounded(self):
         # 2 * 10^5 probes: the (neighbours, probes) product alone would take
@@ -446,6 +456,15 @@ class TestConeDirections:
             dirs[0, 0] = 2.0
 
 
+def _radii_match_brute(x, others, d: int) -> np.ndarray:
+    """cone_nn_radii, checked bit for bit against the every-point, every-cone oracle."""
+    dirs = cone_directions(d)
+    got = cone_nn_radii(x, others, dirs)
+    cut = math.cos(CONE_HALF_APERTURE) - cellsim._CONE_BOUNDARY_TOL
+    assert np.array_equal(got, cone_nn_radii_brute(x, others, dirs, cut))
+    return got
+
+
 class TestConeNNRadii:
     def test_empty_is_infinite(self):
         radii = cone_nn_radii([0.0, 0.0], np.zeros((0, 2)), cone_directions(2))
@@ -467,6 +486,39 @@ class TestConeNNRadii:
     def test_duplicate_of_center_everywhere_at_zero(self):
         radii = cone_nn_radii([0.5, 0.5], [[0.5, 0.5]], cone_directions(2))
         assert np.all(radii == 0.0)
+
+    @pytest.mark.parametrize("n_others", [0, 1, 50, 1999])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equals_brute(self, d, n_others):
+        m = uniform_ball(d)
+        rng = RandomStream(70 + d, n_others)
+        for x in (np.zeros(d), m.sample(rng, 1)[0]):
+            _radii_match_brute(x, m.sample(rng, n_others), d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equal_distance_ties(self, d):
+        # sign flips of points around the origin have exactly equal
+        # distances; 3 copies of each spread every tie over walk blocks
+        pts = uniform_ball(d).sample(RandomStream(75, d), 30)
+        flips = np.vstack([pts, -pts, pts * np.where(np.arange(d) % 2, -1.0, 1.0)])
+        _radii_match_brute(np.zeros(d), np.repeat(flips, 3, axis=0), d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_duplicates_of_x(self, d):
+        m = uniform_ball(d)
+        rng = RandomStream(76, d)
+        x = 0.5 * m.sample(rng, 1)[0]
+        others = np.vstack([m.sample(rng, 300), np.repeat(x[None, :], 2, axis=0)])
+        assert np.all(_radii_match_brute(x, others, d) == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_half_space_walks_every_point(self, d):
+        # the cones around -e1 stay empty, so the radii are found only by a
+        # pass over every point
+        pts = uniform_ball(d).sample(RandomStream(77, d), 1999)
+        pts[:, 0] = np.abs(pts[:, 0])
+        radii = _radii_match_brute(np.zeros(d), pts, d)
+        assert np.isinf(radii).any() and np.isfinite(radii).any()
 
 
 class TestEstimateCellDiameter:
@@ -494,6 +546,20 @@ class TestEstimateCellDiameter:
     def test_probe_floor(self):
         with pytest.raises(ValueError):
             estimate_cell_diameter([0.0], [[0.5]], uniform_ball(1), 1, RandomStream(0))
+
+    @pytest.mark.parametrize("density", sorted(_DENSITIES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equals_its_parts(self, d, density):
+        # one shared nearest-first order gives the same bracket as the probe
+        # hits and the cone radii computed on their own, on the same streams
+        m = _DENSITIES[density](d)
+        x = np.zeros(d)
+        for n in (1, 60, 1500):
+            others = m.sample(RandomStream(80 + d, n), n - 1)
+            got = estimate_cell_diameter(x, others, m, 1000, RandomStream(81 + d, n))
+            hits = cellsim._probe_hits(x, others, m, 1000, RandomStream(81 + d, n))
+            radii = cone_nn_radii(x, others, cone_directions(d))
+            assert got == (_max_pairwise_distance(hits), math.sqrt(d) * float(radii.max()))
 
 
 @pytest.fixture(scope="module")

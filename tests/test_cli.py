@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import vorlab
-from vorlab import moments
+from vorlab import cli, moments
 from vorlab.geometry import MAX_DIM
 from vorlab.cli import (
     COMMANDS,
@@ -337,11 +337,34 @@ class TestMainEntry:
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["--config", "/nonexistent/config.txt"]) == 2
 
-    def test_runtime_error_exit_three(self, tmp_path, capsys):
-        # the output's directory exists, so only writing the CSV fails: the
-        # output is a directory itself
-        code = main(["alpha", "--dim", "1", "--samples", "5000", "--output", str(tmp_path)])
-        assert code == 3
+    def test_runtime_error_exit_three(self, monkeypatch, capsys):
+        # the config is valid, so only the run itself can fail
+        def fail(config):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setitem(cli._RUNNERS, "alpha", fail)
+        assert main(["alpha", "--dim", "1", "--samples", "5000"]) == 3
+        assert "the run failed" in capsys.readouterr().err
+
+    def test_output_directory_is_config_error(self, tmp_path, capsys):
+        start = time.monotonic()
+        assert main(["alpha", "--samples", "2e6", "--output", str(tmp_path)]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "key 'output'" in capsys.readouterr().err
+
+    # sample arrays beyond the element budget: rejected before any sampling
+    @pytest.mark.parametrize("argv, key", [
+        (["cell", "--n", "1e12"], "n"),
+        (["cell", "--probes", "1e12"], "probes"),
+        (["diam", "--probes", "1e12"], "probes"),
+        (["diam", "--n-grid", "10,1e12"], "n_grid"),
+        (["cell", "--dim", "8", "--n", "1e7"], "n"),
+    ])
+    def test_sample_arrays_bounded_exit_two(self, argv, key, capsys):
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 1.0
+        assert f"key '{key}'" in capsys.readouterr().err
 
     def test_alpha_at_max_dim_exit_zero(self, capsys):
         assert main(["alpha", "--dim", str(MAX_DIM), "--samples", "200"]) == 0

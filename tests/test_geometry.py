@@ -14,6 +14,7 @@ from vorlab.geometry import (
     ball_intersection_volume,
     ball_intersection_volumes,
     interval_union_length,
+    row_sq_norms,
     two_ball_union_volume,
     union_volume_mc,
     union_volume_mc_values,
@@ -31,6 +32,24 @@ from oracles import (
 # frozen closed forms, re-derived below against the quadrature oracle
 LENS_D2 = 2 * math.pi / 3 - math.sqrt(3) / 2  # 1.2283696986087568
 LENS_D3 = 5 * math.pi / 12  # 1.3089969389957472
+
+
+class TestRowSqNorms:
+    # below 8 columns the column loop adds left to right, numpy's own order
+    # there; from 8 on numpy's pairwise sum is used, so every width matches
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 20, MAX_DIM])
+    def test_equals_numpy_sum(self, d):
+        rng = np.random.default_rng(d)
+        for shape in ((3000, d), (4, 500, d)):
+            v = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+            got = row_sq_norms(v)
+            want = (v * v).sum(axis=-1)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_strided_view(self):
+        v = np.random.default_rng(9).standard_normal((1000, 6))[:, ::2]
+        assert np.array_equal(row_sq_norms(v), (v * v).sum(axis=-1))
 
 
 class TestUnitBallVolume:
