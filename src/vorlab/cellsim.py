@@ -43,9 +43,12 @@ __all__ = [
 CONE_HALF_APERTURE = math.pi / 8
 _COS_CONE = math.cos(CONE_HALF_APERTURE)
 _CONE_BOUNDARY_TOL = 1e-12
-# points per block of cone_nn_radii's nearest-first walk: at d = 3 the
-# nearest 110 points set every radius in the median replicate
+# points in the first block of cone_nn_radii's nearest-first walk (at d = 3
+# the nearest 110 points set every radius in the median replicate); each
+# further block doubles while its (points, cones) arrays stay within
+# _NN_ELEMENTS, so a long walk takes few, cache-sized steps
 _NN_BLOCK = 64
+_NN_ELEMENTS = 1 << 15
 # the certified covers of R^3, R^4 and R^5, keyed "d3", "d4", "d5"; they are
 # rebuilt, and checked bit for bit, by tests/cone_cover.py
 _COVER_TABLE = Path(__file__).with_name("cone_covers.npz")
@@ -114,17 +117,13 @@ class NNIndex:
 
 
 def _by_distance(x: np.ndarray, others: np.ndarray):
-    """(offsets others - x, their squared lengths, the stable nearest-first
-    order of the offsets): what both the membership test and the cone radii
-    walk, computed once per replicate."""
+    """(offsets others - x, their squared lengths, a nearest-first order of
+    the offsets): what both the membership test and the cone radii walk,
+    computed once per replicate.  Neither depends on how tied points are
+    ordered."""
     rel = others - x
     dist2 = row_sq_norms(rel)
-    # distinct distances have one order, which numpy's default sort finds
-    # several times faster than its stable sort; ties need the stable one
-    order = np.argsort(dist2)
-    if np.any(dist2[order[1:]] == dist2[order[:-1]]):
-        order = np.argsort(dist2, kind="stable")
-    return rel, dist2, order
+    return rel, dist2, np.argsort(dist2)
 
 
 def _cell_member(
@@ -361,20 +360,24 @@ def cone_nn_radii(x, others, directions, by_distance=None) -> np.ndarray:
 
     A point belongs to every cone whose closed angular condition it meets;
     a point coinciding with x belongs to all cones at distance zero.  The
-    points are visited nearest first, `_NN_BLOCK` at a time, and the walk
-    stops at the first block whose nearest point is farther than every
-    radius found so far: no farther point can lower one.  While a cone is
-    empty its radius is inf, so a point set with an empty cone is walked to
-    the end.  `by_distance` is `_by_distance(x, others)`, computed here when
-    None.
+    points are visited nearest first, in blocks that start at `_NN_BLOCK`
+    points and double while a block times the cones stays within
+    `_NN_ELEMENTS`.  The walk stops at the first block whose nearest point
+    is farther than every radius found so far: no farther point can lower
+    one.  While a cone is empty its radius is inf, so a point set with an
+    empty cone is walked to the end.  `by_distance` is
+    `_by_distance(x, others)`, computed here when None.
     """
     x = as_point(x)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     others = np.asarray(others, dtype=float).reshape(-1, x.size)
     rel, dist2, order = by_distance or _by_distance(x, others)
     radii = np.full(dirs.shape[0], math.inf)
-    for start in range(0, order.size, _NN_BLOCK):
-        idx = order[start : start + _NN_BLOCK]
+    cap = max(_NN_BLOCK, _NN_ELEMENTS // dirs.shape[0])
+    start, step = 0, _NN_BLOCK
+    while start < order.size:
+        idx = order[start : start + step]
+        start, step = start + step, min(2 * step, cap)
         dist = np.sqrt(dist2[idx])
         if dist[0] > radii.max():
             break

@@ -194,14 +194,26 @@ class TestCellMember:
         assert _member_matches_brute(x, m.sample(rng, 1999), draws).any()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_nearest_first_order_is_stable(self, d):
-        # ties (copies, and sign flips around x) keep their input order
+    def test_order_of_ties_does_not_matter(self, d):
+        # copies and sign flips around x tie in distance, also across the
+        # prefilter's 32 nearest; ties in input order and in reverse input
+        # order give the same hits and the same cone radii
         pts = uniform_ball(d).sample(RandomStream(67, d), 500)
-        for others in (pts, np.vstack([pts, -pts, pts[:100]])):
-            rel, dist2, order = cellsim._by_distance(np.zeros(d), others)
-            assert np.array_equal(rel, others)
-            assert np.array_equal(dist2, (others * others).sum(axis=1))
-            assert np.array_equal(order, np.argsort(dist2, kind="stable"))
+        others = np.vstack([pts, -pts, pts[:100]])
+        x = np.zeros(d)
+        rel, dist2, order = cellsim._by_distance(x, others)
+        forward = np.argsort(dist2, kind="stable")
+        backward = dist2.size - 1 - np.argsort(dist2[::-1], kind="stable")
+        assert not np.array_equal(forward, backward)
+        assert np.array_equal(dist2[forward], dist2[backward])
+        draws = uniform_ball(d).sample(RandomStream(68, d), 3000)
+        dirs = cone_directions(d)
+        want = _member_matches_brute(x, others, draws)
+        radii = _radii_match_brute(x, others, d)
+        assert want.any()
+        for o in (forward, backward):
+            assert np.array_equal(cellsim._cell_member(x, others, draws, (rel, dist2, o)), want)
+            assert np.array_equal(cone_nn_radii(x, others, dirs, (rel, dist2, o)), radii)
 
     def test_prefilter_memory_bounded(self):
         # 2 * 10^5 probes: the (neighbours, probes) product alone would take

@@ -6,9 +6,7 @@ that is meant to alter outputs regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which rows moved and why.  Every case stays at
-d <= 7: from 8 coordinates numpy sums a row pairwise, so a kernel may
-change how it sums such rows, by an ulp, without touching these files.
+and says in its description which rows moved and why.
 """
 
 import sys
@@ -53,6 +51,13 @@ CASES = {
                             "--replicates", "20", "--probes", "2000", "--seed", "31"]
         for name, spec in _DENSITIES.items()
     },
+    # from 8 coordinates numpy sums the squares of a row pairwise, and so
+    # must every kernel that replaces such a sum
+    "alpha-d8": ["alpha", "--dim", "8", "--samples", "2e4", "--seed", "41"],
+    "zmoments-d8": ["zmoments", "--dim", "8", "--k-max", "3", "--samples", "200",
+                    "--inner-samples", "256", "--seed", "41"],
+    "cell-d8": ["cell", "--dim", "8", "--n", "500", "--replicates", "20", "--probes", "2000",
+                "--seed", "41"],
 }
 
 
