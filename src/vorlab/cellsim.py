@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import as_point, row_sq_norms
-from .sampling import DensityModel, RandomStream, shard_ranges
+from .geometry import as_point, row_sq_norms, unit_ball_volume
+from .sampling import DensityModel, RandomStream, sample_unit_ball_batch, shard_ranges
 
 __all__ = [
     "NNIndex",
@@ -74,6 +74,16 @@ _CERT_STAGE = 4
 # relative margin that keeps the prefilter and the exact check's radius clear
 # of rounding, which is about d * 2^-53 of the same scale
 _CERT_MARGIN = 1e-9
+# a point of the cell in a cone whose nearest point is at rho lies within
+# rho / (2 cos(2 theta)) of x (see estimate_cell_diameter); the relative
+# margin covers the cone tolerance, which widens a cone by about 3e-12 rad,
+# and the rounding of the membership test
+_WINDOW_MARGIN = 1e-6
+_WINDOW_SCALE = (1.0 + _WINDOW_MARGIN) / (2.0 * math.cos(2.0 * CONE_HALF_APERTURE))
+# relative slack of the farthest-pair pruning, far above the rounding of
+# the distances it compares, and the elements of its difference blocks
+_PAIR_SLACK = 1.0 - 1e-9
+_PAIR_ELEMENTS = 1 << 16
 
 
 def _check_elements(key: str, count: int, d: int) -> None:
@@ -173,12 +183,34 @@ def _cell_member(
 
 def _probe_hits(
     x: np.ndarray, others, model: DensityModel, probes: int, rng: RandomStream,
-    by_distance=None,
+    by_distance=None, window: float = math.inf,
 ) -> np.ndarray:
     """Draw probes from the model; return those whose nearest point among {x}
-    plus `others` is x (index 0, so x wins every tie)."""
-    others = np.asarray(others, dtype=float).reshape(-1, x.size)
-    draws = model.sample(rng, probes)
+    plus `others` is x (index 0, so x wins every tie).
+
+    When the cell lies in the ball B = B(x, window), only the probes that
+    land in B can hit, and they are drawn by thinning: with M the density's
+    largest value on B and q = vol(B) M, draw N ~ Bin(probes, q) points
+    uniform in B and keep each point p with probability f(p) / M.  A point
+    is then kept with probability mu(B) / q, so the kept count is
+    Bin(probes, mu(B)) and the kept points are independent draws from the
+    density restricted to B: the law of the plain probes that land in B.
+    When q >= 1 (an infinite window included) the probes are drawn plainly.
+    """
+    d = x.size
+    others = np.asarray(others, dtype=float).reshape(-1, d)
+    mass = math.inf
+    if window < math.inf:
+        peak = model.pdf_max(x, window)
+        # beyond the range of a double, q is inf, 0 or nan; only 0 <= q < 1 thins
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            mass = unit_ball_volume(d) * np.float64(window) ** d * peak
+    if not mass < 1.0:
+        draws = model.sample(rng, probes)
+    else:
+        count = rng.binomial(probes, mass)
+        draws = x + window * sample_unit_ball_batch(d, count, rng)
+        draws = draws[rng.random(count) * peak < model.pdf(draws)]
     return draws[_cell_member(x, others, draws, by_distance)]
 
 
@@ -389,9 +421,38 @@ def cone_nn_radii(x, others, directions, by_distance=None) -> np.ndarray:
 
 
 def _max_pairwise_distance(pts: np.ndarray) -> float:
-    if pts.shape[0] < 2:
+    """Largest distance between two rows of pts, 0 for fewer than two.
+
+    |p_i - p_j| <= r_i + r_j with r the distances from the centroid, so the
+    rows are visited farthest from it first, in blocks whose (rows,
+    partners) differences stay within `_PAIR_ELEMENTS`.  A block is compared
+    only with the rows after its first one that are near enough to the far
+    side to beat the best distance so far, and the visit stops once no row
+    is.  The compared pairs include the farthest one, and their squared
+    distances are those of a pass over every pair, so the result is too,
+    bit for bit.
+    """
+    n, d = pts.shape
+    if n < 2:
         return 0.0
-    return math.sqrt(max(float(d2.max()) for _, d2 in _sq_dist_blocks(pts, pts)))
+    if n * n * d <= _PAIR_ELEMENTS:  # one block holds every pair
+        return math.sqrt(float(row_sq_norms(pts[:, None, :] - pts[None, :, :]).max()))
+    radius = np.sqrt(row_sq_norms(pts - pts.mean(axis=0)))
+    order = np.argsort(-radius)
+    # minus the radii, ascending
+    neg, pts = -radius[order], pts[order]
+    best2, lo = 0.0, 0
+    while lo < n - 1:
+        # a partner of row lo, or of a later row, is at least floor from the centroid
+        floor = math.sqrt(best2) * _PAIR_SLACK + neg[lo]
+        if -neg[lo + 1] < floor:
+            break
+        stop = int(np.searchsorted(neg, -floor, side="right"))
+        rows = max(1, _PAIR_ELEMENTS // ((stop - lo) * d))
+        diff = pts[lo : lo + rows, None, :] - pts[None, lo + 1 : stop, :]
+        best2 = max(best2, float(row_sq_norms(diff).max()))
+        lo += rows
+    return math.sqrt(best2)
 
 
 def estimate_cell_diameter(
@@ -403,6 +464,12 @@ def estimate_cell_diameter(
     land in the cell (0 when fewer than two do); the upper estimate is
     sqrt(d) times the largest per-cone nearest-neighbor distance, infinite
     whenever some cone holds no point.  lower <= upper always.
+
+    A point q of the cell in a cone whose nearest point y is at distance
+    rho makes an angle of at most 2 theta = pi/4 with y - x, so
+    |q - x|^2 <= |q - y|^2 gives |q - x| <= rho / (2 cos(2 theta)).  The
+    probes are therefore drawn only in the ball of that radius, taken at
+    the largest cone radius, which leaves the law of the hits unchanged.
     """
     if probes < 2:
         raise ValueError("probes must be >= 2")
@@ -410,11 +477,10 @@ def estimate_cell_diameter(
     d = x.size
     others = np.asarray(others, dtype=float).reshape(-1, d)
     by_distance = _by_distance(x, others)
-    hits = _probe_hits(x, others, model, int(probes), rng, by_distance)
-    lower = _max_pairwise_distance(hits)
-    radii = cone_nn_radii(x, others, cone_directions(d), by_distance)
-    upper = math.sqrt(d) * float(radii.max())
-    return lower, upper
+    reach = float(cone_nn_radii(x, others, cone_directions(d), by_distance).max())
+    window = _WINDOW_SCALE * reach
+    hits = _probe_hits(x, others, model, int(probes), rng, by_distance, window)
+    return _max_pairwise_distance(hits), math.sqrt(d) * reach
 
 
 @dataclass(frozen=True, eq=False)

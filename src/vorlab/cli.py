@@ -50,10 +50,14 @@ class ConfigError(ValueError):
 
 
 def _count(value: str, lo: int = 1, hi: float = math.inf) -> int:
-    v = float(value)  # counts accept scientific notation
-    if not (v.is_integer() and lo <= v <= hi):
+    try:
+        v = int(value)  # exact at any size
+    except ValueError:
+        f = float(value)  # counts accept scientific notation
+        v = int(f) if f.is_integer() else None
+    if v is None or not lo <= v <= hi:
         raise ValueError(f"expected a whole number in [{lo}, {hi}], got {value!r}")
-    return int(v)
+    return v
 
 
 def _seed(value: str) -> int:

@@ -1,7 +1,8 @@
 """Seeded random streams, uniform sampling in balls, and density models.
 
-A density model couples a sampler with a support test; the uniform-ball and
-gaussian models also evaluate the ball measure mu(B(x, r)) exactly.  scipy
+A density model couples a sampler with a support test, its density and the
+density's supremum over a ball; the uniform-ball and gaussian models also
+evaluate the ball measure mu(B(x, r)) exactly.  scipy
 (`scipy.special`) is imported by the gaussian measures only, so the moment
 estimators and the cell experiments run without it.
 """
@@ -47,7 +48,8 @@ class RandomStream:
     def _count(self, size) -> int:
         if size is None:
             return 1
-        return int(np.prod(size))
+        # math.prod: np.prod of a small shape costs more than a short draw
+        return math.prod(size) if isinstance(size, tuple) else int(size)
 
     def random(self, size=None):
         """Uniform [0, 1) draws; scalar when size is None."""
@@ -57,6 +59,11 @@ class RandomStream:
     def standard_normal(self, size=None):
         self.position += self._count(size)
         return self._gen.standard_normal(size)
+
+    def binomial(self, trials: int, p: float) -> int:
+        """One Bin(trials, p) draw."""
+        self.position += 1
+        return int(self._gen.binomial(trials, p))
 
 
 def shard_ranges(total: int, workers: int) -> list[range]:
@@ -83,7 +90,8 @@ def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Sampleable density with a support test.
+    """Sampleable density with a support test, its density and the
+    density's supremum over a ball.
 
     kind is one of "uniform-ball" (radius), "gaussian" (standard normal),
     "uniform-cube" (side, centered at the origin); the cube has no
@@ -125,6 +133,47 @@ class DensityModel:
         if self.kind == "uniform-cube":
             return bool(np.all(np.abs(x) <= self.side / 2))
         return True
+
+    def _peak(self) -> float:
+        """The density's largest value; 0 or inf beyond the range of a double."""
+        d = self.dimension
+        if self.kind == "gaussian":
+            return (2.0 * math.pi) ** (-d / 2.0)
+        if self.kind == "uniform-ball":
+            scale, unit = self.radius, unit_ball_volume(d)
+        else:
+            scale, unit = self.side, 1.0
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            return float(1.0 / (unit * np.float64(scale) ** d))
+
+    def pdf(self, points) -> np.ndarray:
+        """The density at each row of an (m, d) array of points."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        if self.kind == "uniform-ball":
+            inside = np.sqrt(row_sq_norms(pts)) <= self.radius
+        elif self.kind == "uniform-cube":
+            inside = np.all(np.abs(pts) <= self.side / 2, axis=1)
+        else:
+            return self._peak() * np.exp(-0.5 * row_sq_norms(pts))
+        return np.where(inside, self._peak(), 0.0)
+
+    def pdf_max(self, center, radius: float) -> float:
+        """The largest value of the density on the closed ball B(center, radius)."""
+        center = as_point(center)
+        if center.size != self.dimension:
+            raise ValueError("center dimension does not match the model")
+        if not radius >= 0:
+            raise ValueError("radius must be >= 0")
+        if self.kind == "uniform-cube":
+            outside = np.maximum(np.abs(center) - self.side / 2, 0.0)
+            meets = float(np.linalg.norm(outside)) <= radius
+        else:
+            # distance from the origin to the ball
+            gap = max(float(np.linalg.norm(center)) - radius, 0.0)
+            if self.kind == "gaussian":
+                return self._peak() * math.exp(-0.5 * gap * gap)
+            meets = gap <= self.radius
+        return self._peak() if meets else 0.0
 
     def ball_measure_batch(self, center, radii) -> np.ndarray:
         """mu(B(center, r)) for an array of radii r; exact, and for the

@@ -199,3 +199,14 @@ def z_mgf_bounds(s: float, d: int) -> MomentBounds:
     lower = 1.0 / (1.0 - s / cap) if s < cap else math.inf
     upper = 1.0 / (1.0 - s) if s < 1.0 else math.inf
     return MomentBounds(lower=lower, upper=upper)
+
+
+def max_pairwise_distance_quadratic(pts: np.ndarray) -> float:
+    """Farthest-pair distance by comparing every pair, in blocks of rows."""
+    if pts.shape[0] < 2:
+        return 0.0
+    best = 0.0
+    for lo in range(0, pts.shape[0], 256):
+        d2 = ((pts[lo : lo + 256, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from vorlab import cellsim
 from vorlab.cellsim import (
@@ -27,7 +28,12 @@ from vorlab.cellsim import (
 from vorlab.sampling import RandomStream, gaussian, uniform_ball, uniform_cube
 
 import cone_cover
-from oracles import cone_nn_radii_brute, d1_cell_interval, greedy_cap_cover_quadratic
+from oracles import (
+    cone_nn_radii_brute,
+    d1_cell_interval,
+    greedy_cap_cover_quadratic,
+    max_pairwise_distance_quadratic,
+)
 
 
 class TestNNIndex:
@@ -562,16 +568,165 @@ class TestEstimateCellDiameter:
     @pytest.mark.parametrize("density", sorted(_DENSITIES))
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_equals_its_parts(self, d, density):
-        # one shared nearest-first order gives the same bracket as the probe
-        # hits and the cone radii computed on their own, on the same streams
+        # one shared nearest-first order gives the same bracket as the cone
+        # radii and the probe hits in the window they certify, computed on
+        # their own on the same streams
         m = _DENSITIES[density](d)
         x = np.zeros(d)
         for n in (1, 60, 1500):
             others = m.sample(RandomStream(80 + d, n), n - 1)
             got = estimate_cell_diameter(x, others, m, 1000, RandomStream(81 + d, n))
-            hits = cellsim._probe_hits(x, others, m, 1000, RandomStream(81 + d, n))
             radii = cone_nn_radii(x, others, cone_directions(d))
-            assert got == (_max_pairwise_distance(hits), math.sqrt(d) * float(radii.max()))
+            window = cellsim._WINDOW_SCALE * float(radii.max())
+            hits = cellsim._probe_hits(x, others, m, 1000, RandomStream(81 + d, n), window=window)
+            want = (max_pairwise_distance_quadratic(hits), math.sqrt(d) * float(radii.max()))
+            assert got == want
+
+    def test_copy_of_x_empties_the_window(self):
+        # every cone radius is 0, so the window and the bracket are empty
+        m = uniform_ball(2)
+        x = np.array([0.3, -0.1])
+        others = np.vstack([m.sample(RandomStream(23), 50), x])
+        assert estimate_cell_diameter(x, others, m, 1000, RandomStream(24)) == (0.0, 0.0)
+
+
+class TestMaxPairwiseDistance:
+    """The pruned farthest pair against the pass over every pair."""
+
+    @pytest.mark.parametrize("shape", ["ball", "sphere", "grid", "offset"])
+    def test_equals_quadratic_oracle(self, shape):
+        rng = np.random.default_rng(90)
+        for _ in range(40):
+            d = int(rng.integers(1, 11))
+            pts = rng.standard_normal((int(rng.integers(0, 600)), d))
+            if shape == "sphere":  # every point as far from the centroid as any
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            elif shape == "grid":  # ties, and duplicates of whole rows
+                pts = np.round(pts, 1)
+                pts = np.vstack([pts, pts[: len(pts) // 2]])
+            elif shape == "offset":  # far from the origin, spread 1e-3
+                pts = 1e6 + 1e-3 * pts
+            assert _max_pairwise_distance(pts) == max_pairwise_distance_quadratic(pts)
+
+    def test_every_probe_a_hit_stays_small(self):
+        # with n = 1 every probe hits: 5000 of them at d = 3 once took a
+        # (1118, 5000, 3) block
+        pts = uniform_ball(3).sample(RandomStream(91), 5000)
+        tracemalloc.start()
+        try:
+            got = _max_pairwise_distance(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * cellsim._PAIR_ELEMENTS * 8 + 4 * pts.nbytes
+        assert got == max_pairwise_distance_quadratic(pts)
+
+
+def _window(x, others, d: int) -> float:
+    return cellsim._WINDOW_SCALE * float(cone_nn_radii(x, others, cone_directions(d)).max())
+
+
+def _boundary_point(density: str, d: int) -> np.ndarray:
+    """x on the support's boundary; for the gaussian, far in its tail."""
+    x = np.zeros(d)
+    x[0] = 3.0 if density == "gaussian" else 1.0
+    return x
+
+
+class TestProbeWindow:
+    """Probes drawn only in the ball B(x, R) that the cone radii certify."""
+
+    @pytest.mark.parametrize("density", sorted(_DENSITIES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_certificate_holds_every_plain_hit(self, d, density):
+        m = _DENSITIES[density](d)
+        finite = 0
+        # at d = 5 (1023 cones) the cells of n <= 2000 mostly have an empty cone
+        grid = (1, 20, 200, 2000) + ((20_000,) if d == 5 else ())
+        for i, x in enumerate([np.zeros(d), np.full(d, 0.5 / math.sqrt(d)),
+                               _boundary_point(density, d)]):
+            for n in grid:
+                rng = RandomStream(92 + d, 10 * n + i)
+                others = m.sample(rng, n - 1)
+                window = _window(x, others, d)
+                hits = cellsim._probe_hits(x, others, m, 20_000, rng)
+                assert np.all(np.linalg.norm(hits - x, axis=1) <= window)
+                finite += math.isfinite(window) and len(hits) > 0
+        assert finite > 0
+
+    @pytest.mark.parametrize(
+        "model, x, n",
+        # x = (0.8, 0): most windows are finite, a third of them reach past the
+        # support, and closer to the boundary the outer cones are mostly empty
+        [(uniform_ball(2), np.array([0.8, 0.0]), 300), (gaussian(3), np.zeros(3), 200)],
+        ids=["ball-d2-boundary", "gauss-d3"],
+    )
+    def test_same_law_as_plain_probes(self, model, x, n):
+        # per replicate: one sample of the other points, and the hit count and
+        # farthest hit pair of a plain and of a windowed pass on streams of
+        # their own; the paired differences have mean 0
+        d = x.size
+        diffs, finite = [], 0
+        for r in range(400):
+            others = model.sample(RandomStream(93, r), n - 1)
+            window = _window(x, others, d)
+            finite += math.isfinite(window)
+            row = []
+            for stream, w in ((94, math.inf), (95, window)):
+                hits = cellsim._probe_hits(x, others, model, 3000, RandomStream(stream, r),
+                                           window=w)
+                row.append((len(hits), _max_pairwise_distance(hits)))
+            diffs.append(np.subtract(*row))
+        diffs = np.array(diffs)
+        se = diffs.std(axis=0, ddof=1) / math.sqrt(len(diffs))
+        assert np.all(np.abs(diffs.mean(axis=0)) <= 4 * se)
+        assert finite >= 250
+
+    @pytest.mark.parametrize(
+        "model, x, window",
+        [(gaussian(3), np.array([1.0, 0.0, 0.0]), 1.0),
+         (uniform_ball(2), np.array([0.8, 0.0]), 0.5),
+         (uniform_cube(2, side=2.0), np.array([0.9, 0.9]), 0.3)],
+        ids=["gauss-d3", "ball-d2", "cube-d2"],
+    )
+    def test_thinned_probes_have_the_law_of_plain_ones(self, model, x, window):
+        # with no other point every probe hits, so the windowed pass returns
+        # the thinned draws; they and the plain probes that land in the
+        # window (where the density varies, or the support ends) share a law
+        counts, found = [], {math.inf: [], window: []}
+        for r in range(100):
+            row = []
+            for stream, w in ((99, math.inf), (100, window)):
+                hits = cellsim._probe_hits(x, np.zeros((0, x.size)), model, 2000,
+                                           RandomStream(stream, r), window=w)
+                hits = hits[np.linalg.norm(hits - x, axis=1) <= window]
+                found[w].append(hits)
+                row.append(len(hits))
+            counts.append(row[0] - row[1])
+        se = np.std(counts, ddof=1) / math.sqrt(len(counts))
+        assert abs(np.mean(counts)) <= 4 * se
+        plain, thinned = (np.concatenate(found[w]) for w in (math.inf, window))
+        for a, b in ((np.linalg.norm(plain - x, axis=1), np.linalg.norm(thinned - x, axis=1)),
+                     (plain[:, 0], thinned[:, 0])):
+            assert ks_2samp(a, b).pvalue > 1e-3
+
+    def test_empty_window_draws_no_hits(self):
+        m = uniform_ball(2)
+        rng = RandomStream(96)
+        hits = cellsim._probe_hits(np.zeros(2), m.sample(rng, 10), m, 1000, rng, window=0.0)
+        assert hits.shape == (0, 2)
+
+    @pytest.mark.parametrize("density", sorted(_DENSITIES))
+    def test_window_holding_all_mass_draws_plainly(self, density):
+        # vol(B(x, 10)) times the density's peak is at least 1
+        m = _DENSITIES[density](2)
+        x = np.array([0.1, 0.2])
+        others = m.sample(RandomStream(97), 30)
+        plain = cellsim._probe_hits(x, others, m, 2000, RandomStream(98))
+        wide = cellsim._probe_hits(x, others, m, 2000, RandomStream(98), window=10.0)
+        draws = m.sample(RandomStream(98), 2000)
+        assert np.array_equal(wide, plain)
+        assert np.array_equal(plain, draws[NNIndex(np.vstack([x, others])).query(draws) == 0])
 
 
 @pytest.fixture(scope="module")

@@ -71,6 +71,13 @@ class TestParseConfig:
         cfg = parse_config("command=alpha dim=1 samples=1e6")
         assert cfg.samples == 1_000_000
 
+    def test_counts_above_2_53_stay_exact(self):
+        # a float would round both to the nearest even integer
+        cfg = parse_config("command=cell replicates=18014398509481987")
+        assert cfg.replicates == 18014398509481987
+        args = cli.build_parser().parse_args(["alpha", "--samples", "9007199254740993"])
+        assert cli._config_from_args(args).samples == 9007199254740993
+
     def test_dim_zero_names_key(self):
         with pytest.raises(ConfigError, match="dim"):
             parse_config("command=alpha dim=0")

@@ -44,6 +44,12 @@ class TestRandomStream:
         s.random()
         assert s.position == 23
 
+    def test_binomial(self):
+        a, b = RandomStream(9, 1), RandomStream(9, 1)
+        assert a.binomial(5000, 0.3) == b.binomial(5000, 0.3)
+        assert a.position == 1
+        assert (a.binomial(7, 0.0), a.binomial(7, 1.0)) == (0, 7)
+
     def test_negative_stream_index_rejected(self):
         with pytest.raises(ValueError):
             RandomStream(0, -1)
@@ -118,6 +124,52 @@ class TestDensitySampling:
         assert not uniform_ball(2).support_contains([1.0, 1.0])
         assert uniform_cube(2, side=2.0).support_contains([1.0, -1.0])
         assert gaussian(3).support_contains([10.0, 0.0, 0.0])
+
+
+_MODELS = {"uniform-ball": lambda d: uniform_ball(d, radius=1.5), "gaussian": gaussian,
+           "uniform-cube": lambda d: uniform_cube(d, side=2.0)}
+
+
+def _nearest_peak_point(model: DensityModel, center, radius: float) -> np.ndarray:
+    """A point of B(center, radius) where the density is largest: the point
+    nearest the origin, or for the cube the point of the cube nearest center."""
+    if model.kind == "uniform-cube":
+        return np.clip(center, -model.side / 2, model.side / 2)
+    norm = np.linalg.norm(center)
+    return center * (1.0 - min(radius, norm) / norm)
+
+
+class TestDensityPdf:
+    @pytest.mark.parametrize("kind", sorted(_MODELS))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_pdf_max_bounds_pdf_and_is_attained(self, kind, d):
+        m = _MODELS[kind](d)
+        rng = RandomStream(70, d)
+        for _ in range(20):
+            center = 1.5 * m.sample(rng, 1)[0]
+            radius = float(rng.random()) + 0.05
+            peak = m.pdf_max(center, radius)
+            pts = center + radius * sample_unit_ball_batch(d, 2000, rng)
+            assert np.all(m.pdf(pts) <= peak)
+            if peak > 0:
+                best = _nearest_peak_point(m, center, radius)
+                assert np.linalg.norm(best - center) <= radius * (1 + 1e-12)
+                assert m.pdf(best)[0] == pytest.approx(peak, rel=1e-12)
+
+    def test_pdf_max_away_from_the_support_is_zero(self):
+        assert uniform_ball(2).pdf_max([3.0, 0.0], 1.5) == 0.0
+        assert uniform_cube(2, side=2.0).pdf_max([2.0, 2.0], 1.4) == 0.0
+        assert uniform_cube(2, side=2.0).pdf_max([2.0, 2.0], 1.5) == 0.25
+
+    @pytest.mark.parametrize("kind", sorted(_MODELS))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_pdf_integrates_to_one(self, kind, d):
+        # uniform points of a ball holding all but 1e-6 of the mass
+        reach = {"uniform-ball": 2.0, "gaussian": 6.0, "uniform-cube": math.sqrt(d) + 0.5}[kind]
+        m = _MODELS[kind](d)
+        vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * reach**d
+        vals = vol * m.pdf(reach * sample_unit_ball_batch(d, 200_000, RandomStream(71, d)))
+        assert abs(vals.mean() - 1.0) <= 4 * vals.std(ddof=1) / math.sqrt(vals.size)
 
 
 class TestDensityGrammar:
