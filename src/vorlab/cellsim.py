@@ -435,8 +435,6 @@ def _max_pairwise_distance(pts: np.ndarray) -> float:
     n, d = pts.shape
     if n < 2:
         return 0.0
-    if n * n * d <= _PAIR_ELEMENTS:  # one block holds every pair
-        return math.sqrt(float(row_sq_norms(pts[:, None, :] - pts[None, :, :]).max()))
     radius = np.sqrt(row_sq_norms(pts - pts.mean(axis=0)))
     order = np.argsort(-radius)
     # minus the radii, ascending

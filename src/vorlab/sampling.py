@@ -48,8 +48,7 @@ class RandomStream:
     def _count(self, size) -> int:
         if size is None:
             return 1
-        # math.prod: np.prod of a small shape costs more than a short draw
-        return math.prod(size) if isinstance(size, tuple) else int(size)
+        return int(np.prod(size))
 
     def random(self, size=None):
         """Uniform [0, 1) draws; scalar when size is None."""

@@ -43,6 +43,10 @@ class TestRandomStream:
         s.standard_normal((3, 4))
         s.random()
         assert s.position == 23
+        # any shape numpy accepts counts its draws: a list, an array
+        s.random([2, 3])
+        s.standard_normal(np.array([2, 2]))
+        assert s.position == 33
 
     def test_binomial(self):
         a, b = RandomStream(9, 1), RandomStream(9, 1)
