@@ -165,8 +165,8 @@ def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
     sy = np.sqrt(1.0 - x)
     if d % 2:
         a, c = 1.0, 0.5  # c = 1 / (a B(a, 1/2))
-        val = x / (1.0 + sy)  # 1 - sqrt(1-x) without cancellation
-        start = val
+        start = x / (1.0 + sy)  # 1 - sqrt(1-x) without cancellation
+        val = start.copy()
     else:
         a, c = 1.5, 4.0 / (3.0 * math.pi)
         s = np.sqrt(x)
@@ -176,18 +176,19 @@ def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
     if steps:
         t = c * np.power(x, a) * sy
         for _ in range(steps):
-            val = val - t
+            val -= t
             ratio = (a + 0.5) / (a + 1.0)
-            t *= x * ratio
+            t *= np.multiply(x, ratio, out=sy)  # sqrt(1-x) is not needed again
             c *= ratio
             a += 1.0
-    small = val * _RECURRENCE_KEEP < start
+    small = np.multiply(val, _RECURRENCE_KEEP, out=sy) < start
     if np.any(small):
         xs = x[small]
         term = np.ones_like(xs)
         total = np.ones_like(xs)
+        top = xs.argmax()  # the largest x has the largest terms, bit for bit
         n = 0
-        while term.max() > _SERIES_TOL:
+        while term[top] > _SERIES_TOL:
             term *= xs * ((a + 0.5 + n) / (a + 1.0 + n))
             total += term
             n += 1
@@ -212,8 +213,8 @@ def _cap_volumes(d: int, r: np.ndarray, h: np.ndarray) -> np.ndarray:
         from scipy.special import betainc
 
         frac = betainc((d + 1) / 2, 0.5, x)
-    half_cap = 0.5 * full * frac
-    return np.where(h >= 0.0, half_cap, full - half_cap)
+    frac *= 0.5 * full  # the minority cap
+    return np.where(h >= 0.0, frac, np.subtract(full, frac, out=full))
 
 
 def ball_intersection_volumes(d: int, r1, r2, dist) -> np.ndarray:
@@ -236,14 +237,16 @@ def ball_intersection_volumes(d: int, r1, r2, dist) -> np.ndarray:
     rlo = np.minimum(r1, r2)
     rhi = np.maximum(r1, r2)
     contained = dist <= rhi - rlo
-    lens = ~contained & (dist < rhi + rlo)
-    # the caps are evaluated on every pair and kept on the lens pairs only;
-    # elsewhere (a zero distance or radius) they may be inf or nan
+    meets = dist < rhi + rlo
+    # the caps are evaluated on every pair, where they may be inf or nan, and
+    # kept where the balls meet; the contained pairs are overwritten last
     with np.errstate(divide="ignore", invalid="ignore"):
-        h1 = (dist * dist + rhi * rhi - rlo * rlo) / (2.0 * dist)
-        caps = _cap_volumes(d, rhi, h1) + _cap_volumes(d, rlo, dist - h1)
-    out = np.where(contained, unit_ball_volume(d) * rlo**d, np.where(lens, caps, 0.0))
-    return out.reshape(shape)
+        h = (dist * dist + rhi * rhi - rlo * rlo) / (2.0 * dist)
+        caps = _cap_volumes(d, rhi, h) + _cap_volumes(d, rlo, dist - h)
+    np.copyto(caps, 0.0, where=~meets)
+    if contained.any():
+        caps[contained] = unit_ball_volume(d) * rlo[contained] ** d
+    return caps.reshape(shape)
 
 
 def _check_pair(a: Ball, b: Ball) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import _NO_STATS, Estimate, _merge, _stats
 from .sampling import RandomStream, shard_ranges
-from .wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
+from .wstat import _BLOCK, DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
 
 __all__ = [
     "MomentBounds",
@@ -104,14 +104,21 @@ def _alpha_sums(args) -> tuple[int, float, float]:
     """
     d, count, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
+    excess = np.empty(min(_W_CHUNK, count))
     acc = _NO_STATS
     left = count
     while left:
         m = min(_W_CHUNK, left)
         left -= m
-        w, lens = sample_w_batch(d, m, rng).T
-        a = w + lens
-        acc = _merge(acc, _stats(2.0 * lens * (a + w) / (w * a) ** 2))
+        draws = sample_w_batch(d, m, rng)
+        for i in range(0, m, _BLOCK):
+            (w, lens), e = draws[i : i + _BLOCK].T, excess[i : min(i + _BLOCK, m)]
+            a = w + lens
+            np.multiply(lens, 2.0, out=e)
+            e *= a + w
+            e /= np.square(np.multiply(w, a, out=a), out=a)
+        del draws, w, lens  # so that the next chunk's draws can reuse the memory
+        acc = _merge(acc, _stats(excess[:m]))
     return acc
 
 

@@ -84,7 +84,7 @@ def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     g = rng.standard_normal((n, d))
     g /= np.sqrt(row_sq_norms(g))[:, None]
-    return g * (rng.random(n) ** (1.0 / d))[:, None]
+    return np.multiply(g, (rng.random(n) ** (1.0 / d))[:, None], out=g)
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,11 @@ class DensityModel:
             raise ValueError(f"unknown density kind {self.kind!r}")
         if int(self.dimension) != self.dimension or self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.kind == "uniform-ball" and not 0 < self.radius < math.inf:
-            raise ValueError("uniform-ball radius must be finite and > 0")
-        if self.kind == "uniform-cube" and not 0 < self.side < math.inf:
-            raise ValueError("uniform-cube side must be finite and > 0")
+        # squared distances at these scales stay normal doubles
+        if self.kind == "uniform-ball" and not 1e-100 <= self.radius <= 1e100:
+            raise ValueError("uniform-ball radius must be in [1e-100, 1e100]")
+        if self.kind == "uniform-cube" and not 1e-100 <= self.side <= 1e100:
+            raise ValueError("uniform-cube side must be in [1e-100, 1e100]")
 
     def sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """Draw size points with this law; shape (size, d)."""
@@ -257,6 +258,6 @@ def parse_density(spec: str, dimension: int) -> DensityModel:
         pass
     raise ValueError(
         f"bad density spec {spec!r}; expected uniform-ball:r=<real>, gaussian,"
-        " or uniform-cube:side=<real>"
+        " or uniform-cube:side=<real>, with r and side in [1e-100, 1e100]"
     )
 

@@ -34,6 +34,10 @@ __all__ = [
 
 DEFAULT_INNER_SAMPLES = 4096
 
+# rows per block of the two-ball kernels: a float per row is 64 KiB, below
+# glibc's 128 KiB mmap threshold, so blocks reuse heap memory, not fresh pages
+_BLOCK = 1 << 13
+
 
 def _e1(d: int) -> np.ndarray:
     e = np.zeros(d)
@@ -41,19 +45,22 @@ def _e1(d: int) -> np.ndarray:
     return e
 
 
-def w_and_lens(y) -> tuple[np.ndarray, np.ndarray]:
+def w_and_lens(y, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The exact normalized volumes W of B(e1, 1) ∪ B(y, ||y||), and the
     normalized lens volumes L of B(e1, 1) ∩ B(y, ||y||), for the rows y of
-    an (n, d) center matrix."""
+    an (n, d) center matrix, as the columns of `out` (n, 2; new if None)."""
     y = np.asarray(y, dtype=float)
-    d = y.shape[1]
+    n, d = y.shape
+    w, lens = (np.empty((n, 2), order="F") if out is None else out).T
     ny = np.sqrt(row_sq_norms(y))
     shifted = y.copy()
     shifted[:, 0] -= 1.0
     dist = np.sqrt(row_sq_norms(shifted))
     v = unit_ball_volume(d)
     inter = ball_intersection_volumes(d, 1.0, ny, dist)
-    return (v + (v * ny**d - inter)) / v, inter / v
+    np.divide(v + (v * ny**d - inter), v, out=w)
+    np.divide(inter, v, out=lens)
+    return w, lens
 
 
 def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
@@ -62,7 +69,11 @@ def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     them, with W + L = 1 + ||Y||^d up to rounding."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return np.column_stack(w_and_lens(sample_unit_ball_batch(d, n, rng)))
+    y = sample_unit_ball_batch(d, n, rng)
+    out = np.empty((n, 2), order="F")  # contiguous columns
+    for i in range(0, n, _BLOCK):
+        w_and_lens(y[i : i + _BLOCK], out[i : i + _BLOCK])
+    return out
 
 
 def wk_mc_values(

@@ -15,6 +15,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaln
 from scipy.stats import chi2
 
+from vorlab.geometry import row_sq_norms, unit_ball_volume
 from vorlab.moments import MomentBounds
 
 
@@ -210,3 +211,130 @@ def max_pairwise_distance_quadratic(pts: np.ndarray) -> float:
         d2 = ((pts[lo : lo + 256, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         best = max(best, float(d2.max()))
     return math.sqrt(best)
+
+
+# The two-ball kernels as they were before they were blocked and made to work
+# in place, copied verbatim: whole-array temporaries, one np.where per
+# branch.  The library's kernels must equal them bit for bit.
+
+# largest d whose caps use _cap_fraction; above it scipy's betainc is faster
+# and is called instead
+_CAP_KERNEL_MAX_D = 19
+# the recurrence is kept where its result is at least 1/64 of its start value,
+# so that cancellation costs it at most about 6 bits
+_RECURRENCE_KEEP = 64.0
+# a series term below 2^-54 is under half an ulp of its sum, which is >= 1
+_SERIES_TOL = 2.0**-54
+
+
+def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
+    """I_x((d+1)/2, 1/2), the regularized incomplete beta function, for
+    integer d >= 1, from elementary functions.
+
+    With a = (d+1)/2 and t_a = x^a sqrt(1-x) / (a B(a, 1/2)), the start value
+    is I_x(1, 1/2) = 1 - sqrt(1-x) for odd d and I_x(3/2, 1/2) =
+    (2/pi)(arcsin sqrt(x) - sqrt(x(1-x))) for even d, and the upward
+    recurrence I_x(a+1, 1/2) = I_x(a, 1/2) - t_a (DLMF 8.17.20) reaches a.
+    Where that subtraction cancels (small x), the positive-term series
+    I_x(a, 1/2) = t_a sum_n (a+1/2)_n / (a+1)_n x^n (DLMF 8.17.8) replaces it.
+    Each element's value depends on that element alone: the series stops
+    only when every term left is absorbed by its sum.
+    """
+    sy = np.sqrt(1.0 - x)
+    if d % 2:
+        a, c = 1.0, 0.5  # c = 1 / (a B(a, 1/2))
+        val = x / (1.0 + sy)  # 1 - sqrt(1-x) without cancellation
+        start = val
+    else:
+        a, c = 1.5, 4.0 / (3.0 * math.pi)
+        s = np.sqrt(x)
+        start = (2.0 / math.pi) * np.arcsin(s)
+        val = start - (2.0 / math.pi) * (s * sy)
+    steps = (d - 1) // 2
+    if steps:
+        t = c * np.power(x, a) * sy
+        for _ in range(steps):
+            val = val - t
+            ratio = (a + 0.5) / (a + 1.0)
+            t *= x * ratio
+            c *= ratio
+            a += 1.0
+    small = val * _RECURRENCE_KEEP < start
+    if np.any(small):
+        xs = x[small]
+        term = np.ones_like(xs)
+        total = np.ones_like(xs)
+        n = 0
+        while term.max() > _SERIES_TOL:
+            term *= xs * ((a + 0.5 + n) / (a + 1.0 + n))
+            total += term
+            n += 1
+        val[small] = c * np.power(xs, a) * np.sqrt(1.0 - xs) * total
+    return val
+
+
+def _cap_volumes(d: int, r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Volume of the spherical cap of a radius-r ball cut at signed height h.
+
+    h is the distance from the ball center to the cutting hyperplane; h >= 0
+    gives the minority cap, h < 0 the complementary one.  Evaluated with the
+    regularized incomplete beta function I_x((d+1)/2, 1/2): _cap_fraction up
+    to _CAP_KERNEL_MAX_D, scipy's betainc above.
+    """
+    full = unit_ball_volume(d) * r**d
+    # clamp guards ulp-level excursions of 1 - (h/r)^2 at the branch edges
+    x = np.clip(1.0 - (h * h) / (r * r), 0.0, 1.0)
+    if d <= _CAP_KERNEL_MAX_D:
+        frac = _cap_fraction(d, x)
+    else:
+        from scipy.special import betainc
+
+        frac = betainc((d + 1) / 2, 0.5, x)
+    half_cap = 0.5 * full * frac
+    return np.where(h >= 0.0, half_cap, full - half_cap)
+
+
+def ball_intersection_volumes(d: int, r1, r2, dist) -> np.ndarray:
+    """Intersection volumes of ball pairs given radii and center distance.
+
+    Vectorized over broadcastable arrays ``r1``, ``r2``, ``dist``.  Selects
+    containment, lens or disjoint by exact comparisons on the computed
+    distance: measure-zero boundaries
+    are irrelevant to the Monte Carlo consumers, and exactness on the
+    containment branch keeps degenerate configurations bit-reproducible.
+    """
+    r1, r2, dist = np.broadcast_arrays(
+        np.asarray(r1, dtype=float), np.asarray(r2, dtype=float), np.asarray(dist, dtype=float)
+    )
+    shape = dist.shape
+    # at least 1-d, so that scalars run the array loops too (a numpy scalar's
+    # ** can differ from numpy's integer-power loop by an ulp)
+    r1, r2, dist = np.atleast_1d(r1, r2, dist)
+    # canonical radius order makes the evaluation exactly symmetric in (a, b)
+    rlo = np.minimum(r1, r2)
+    rhi = np.maximum(r1, r2)
+    contained = dist <= rhi - rlo
+    lens = ~contained & (dist < rhi + rlo)
+    # the caps are evaluated on every pair and kept on the lens pairs only;
+    # elsewhere (a zero distance or radius) they may be inf or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h1 = (dist * dist + rhi * rhi - rlo * rlo) / (2.0 * dist)
+        caps = _cap_volumes(d, rhi, h1) + _cap_volumes(d, rlo, dist - h1)
+    out = np.where(contained, unit_ball_volume(d) * rlo**d, np.where(lens, caps, 0.0))
+    return out.reshape(shape)
+
+
+def sample_w_batch_reference(d: int, n: int, rng) -> np.ndarray:
+    """The two-ball sampler unblocked: one pass of the reference kernels
+    over all n centers, drawn as sample_unit_ball_batch draws them, as an
+    (n, 2) array of W and the normalized lens volume L."""
+    g = rng.standard_normal((n, d))
+    g /= np.sqrt(row_sq_norms(g))[:, None]
+    y = g * (rng.random(n) ** (1.0 / d))[:, None]
+    ny = np.sqrt(row_sq_norms(y))
+    shifted = y.copy()
+    shifted[:, 0] -= 1.0
+    dist = np.sqrt(row_sq_norms(shifted))
+    v = unit_ball_volume(d)
+    inter = ball_intersection_volumes(d, 1.0, ny, dist)
+    return np.column_stack(((v + (v * ny**d - inter)) / v, inter / v))

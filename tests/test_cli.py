@@ -341,6 +341,22 @@ class TestMainEntry:
         assert code == 2
         assert "density" in capsys.readouterr().err
 
+    # a scale whose square leaves the normal doubles would square every
+    # distance to inf or 0 and report nonsense; the bounds themselves run
+    @pytest.mark.parametrize("command", ["cell", "diam"])
+    @pytest.mark.parametrize("density, code", [
+        ("uniform-ball:r=1e200", 2), ("uniform-cube:side=1e-200", 2),
+        ("uniform-ball:r=1e-100", 0), ("uniform-cube:side=1e100", 0),
+    ])
+    def test_density_scale_is_bounded(self, command, density, code, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--dim", "3", "--density", density, "--n", "50", "--n-grid", "50",
+                     "--replicates", "3", "--probes", "100", "--output", str(out)]) == code
+        if code:
+            assert "key 'density'" in capsys.readouterr().err and not out.exists()
+        else:
+            assert "nan" not in out.read_text()
+
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["--config", "/nonexistent/config.txt"]) == 2
 

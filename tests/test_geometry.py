@@ -22,6 +22,7 @@ from vorlab.geometry import (
 )
 from vorlab.sampling import RandomStream
 
+import oracles
 from oracles import (
     ball_volume_gamma,
     hit_or_miss_union,
@@ -213,6 +214,66 @@ class TestCapKernel:
         x = self.X[::97]
         alone = [geometry._cap_fraction(d, x[i:i + 1])[0] for i in range(x.size)]
         assert geometry._cap_fraction(d, x).tolist() == alone
+
+
+def _pairs(d: int, n: int = 5000):
+    """n (r1, r2, dist) pairs: random lenses, and in the first rows every
+    degenerate case the branches must separate."""
+    rng = np.random.default_rng(1000 + d)
+    r1 = rng.exponential(1.0, n)
+    r2 = rng.exponential(1.0, n)
+    dist = rng.uniform(0.0, 1.2, n) * (r1 + r2)
+    dist[0:10] = 0.0  # concentric
+    r1[10:16] = 0.0  # a point ball, inside or outside the other
+    r2[14:20] = 0.0
+    r2[20:30] = r1[20:30]  # equal radii, some concentric
+    dist[26:28] = 0.0
+    dist[30:38] = r1[30:38] + r2[30:38]  # externally tangent
+    dist[38:46] = np.abs(r1[38:46] - r2[38:46])  # internally tangent
+    dist[46:54] = 0.5 * np.abs(r1[46:54] - r2[46:54])  # contained
+    dist[54:62] = 2.0 * (r1[54:62] + r2[54:62])  # disjoint
+    return r1, r2, dist
+
+
+class TestKernelsMatchReference:
+    """The blocked, in-place two-ball kernels against the whole-array
+    reference of tests/oracles.py: the same floating-point operations, so
+    equal bit for bit, on each branch of the cap kernel and for every
+    input shape."""
+
+    # every d of the elementary kernel, the betainc branch above d = 19
+    @pytest.mark.parametrize("d", [*range(1, 22), 30])
+    def test_batch(self, d):
+        r1, r2, dist = _pairs(d)
+        got = ball_intersection_volumes(d, r1, r2, dist)
+        assert not np.any(np.isnan(got))
+        assert np.array_equal(got, oracles.ball_intersection_volumes(d, r1, r2, dist))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20, 21])
+    def test_scalar(self, d):
+        r1, r2, dist = _pairs(d, 80)
+        for a, b, c in zip(r1.tolist(), r2.tolist(), dist.tolist()):
+            got = ball_intersection_volumes(d, a, b, c)
+            assert got.shape == () and got == oracles.ball_intersection_volumes(d, a, b, c)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20, 21])
+    def test_broadcast_grid(self, d):
+        r1, r2, dist = _pairs(d, 64)
+        grid = (r1[:16, None, None], r2[None, :16, None], dist[None, None, :])
+        got = ball_intersection_volumes(d, *grid)
+        assert got.shape == (16, 16, 64)
+        assert np.array_equal(got, oracles.ball_intersection_volumes(d, *grid))
+        # a scalar radius against a column of radii, as w_and_lens calls it
+        col = (1.0, r2[:, None], dist[None, :8])
+        assert np.array_equal(ball_intersection_volumes(d, *col),
+                              oracles.ball_intersection_volumes(d, *col))
+
+    @pytest.mark.parametrize("d", [2, 7, 20])
+    def test_cap_fraction(self, d):
+        x = TestCapKernel.X
+        before = x.copy()
+        assert np.array_equal(geometry._cap_fraction(d, x), oracles._cap_fraction(d, x))
+        assert np.array_equal(x, before)  # the input is not written
 
 
 class TestTwoBallUnion:

@@ -4,9 +4,10 @@ Each case runs `vorlab.cli.main` on its arguments and compares the CSV, with
 the `elapsed_ms` column stripped, to `tests/golden/<case>.csv`.  A change
 that is meant to alter outputs regenerates the files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
-and says in its description which rows moved and why.
+which writes the named cases only, or every case when none is named, and
+says in its description which rows moved and why.
 """
 
 import sys
@@ -54,6 +55,12 @@ CASES = {
     # from 8 coordinates numpy sums the squares of a row pairwise, and so
     # must every kernel that replaces such a sum
     "alpha-d8": ["alpha", "--dim", "8", "--samples", "2e4", "--seed", "41"],
+    # every branch of the cap kernel: at d = 3 the odd-d recurrence over
+    # several chunks and a partial one, at d = 5 a longer recurrence, and at
+    # d = 21 scipy's betainc
+    "alpha-d3": ["alpha", "--dim", "3", "--samples", "2e5", "--workers", "2", "--seed", "43"],
+    "alpha-d5": ["alpha", "--dim", "5", "--samples", "2e4", "--seed", "45"],
+    "alpha-d21": ["alpha", "--dim", "21", "--samples", "2e4", "--seed", "61"],
     "zmoments-d8": ["zmoments", "--dim", "8", "--k-max", "3", "--samples", "200",
                     "--inner-samples", "256", "--seed", "41"],
     "cell-d8": ["cell", "--dim", "8", "--n", "500", "--replicates", "20", "--probes", "2000",
@@ -84,8 +91,13 @@ def test_every_golden_file_has_a_case():
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case, argv in CASES.items():
-            (GOLDEN / f"{case}.csv").write_text(_csv(argv, Path(tmp) / "out.csv"), encoding="utf-8")
+        for case in names:
+            (GOLDEN / f"{case}.csv").write_text(_csv(CASES[case], Path(tmp) / "out.csv"),
+                                                encoding="utf-8")
             print(f"wrote {case}", file=sys.stderr)

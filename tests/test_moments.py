@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 
 from vorlab import moments
-from vorlab.geometry import Estimate
+from vorlab.geometry import _NO_STATS, Estimate, _merge, _stats
 from vorlab.moments import (
     MAX_FACTORIAL_K,
     MomentBounds,
@@ -25,7 +25,7 @@ from vorlab.sampling import RandomStream, sample_unit_ball_batch, uniform_ball
 from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
-from oracles import z_mgf_bounds
+from oracles import sample_w_batch_reference, z_mgf_bounds
 
 
 class TestAlphaClosedFormD1:
@@ -91,6 +91,33 @@ class TestEstimateAlpha:
             tracemalloc.stop()
         assert peak < 40e6
         assert est.samples == 1_000_000
+
+    @pytest.mark.parametrize("d, bound", [(2, 6e6), (8, 12e6)])
+    def test_chunk_memory_is_the_draws_and_blocks(self, d, bound):
+        # three chunks of 2^16 draws hold the centers, the (W, L) pairs and
+        # the excess at chunk length; every other temporary is block-sized
+        tracemalloc.start()
+        try:
+            moments._alpha_sums((d, 3 * 2**16, 1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("count", [5, 2**16 + 8193])
+    @pytest.mark.parametrize("d", [2, 21])
+    def test_excess_matches_unblocked(self, d, count):
+        # the excess formed block by block equals the whole-chunk formula
+        rng = RandomStream(71, d)
+        acc = _NO_STATS
+        left = count
+        while left:
+            m = min(moments._W_CHUNK, left)
+            left -= m
+            w, lens = sample_w_batch_reference(d, m, rng).T
+            a = w + lens
+            acc = _merge(acc, _stats(2.0 * lens * (a + w) / (w * a) ** 2))
+        assert moments._alpha_sums((d, count, 71, d)) == acc
 
     def test_parallel_single_worker_bitwise(self):
         direct = estimate_alpha(2, 30_000, RandomStream(52, 0))

@@ -182,6 +182,7 @@ class TestDensityGrammar:
         [
             "uniform-ball", "uniform-ball:radius=1", "cube:side=1", "gauss", "uniform-cube:side=",
             "uniform-ball:r=inf", "uniform-cube:side=inf",
+            "uniform-ball:r=1e101", "uniform-cube:side=9e-101",
         ],
     )
     def test_rejects_bad_specs(self, bad):

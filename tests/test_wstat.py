@@ -9,6 +9,8 @@ from vorlab.moments import estimate_z_moment
 from vorlab.sampling import RandomStream, sample_unit_ball_batch
 from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
 
+from oracles import sample_w_batch_reference
+
 
 class TestWGivenCenter:
     def test_d1_right_half_is_one(self):
@@ -60,6 +62,19 @@ class TestSampleW:
     def test_scalar_draw(self):
         draw = sample_w_batch(2, 1, RandomStream(34))
         assert draw.shape == (1, 2) and 1.0 <= draw[0, 0] <= 2.0
+
+
+class TestSamplerMatchesReference:
+    # blocks of rows, partial ones included, give the unblocked values bit
+    # for bit and leave the stream where the unblocked sampler leaves it
+    @pytest.mark.parametrize("n", [5, 8191, 8193, 2**16 - 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20, 21])
+    def test_equals_unblocked(self, d, n):
+        rng, ref_rng = RandomStream(70, d), RandomStream(70, d)
+        got = sample_w_batch(d, n, rng)
+        assert got.shape == (n, 2)
+        assert np.array_equal(got, sample_w_batch_reference(d, n, ref_rng))
+        assert rng.random() == ref_rng.random()
 
 
 class TestSampleWk:
