@@ -501,6 +501,8 @@ class DiameterExperimentConfig:
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be a nonempty increasing sequence")
+        if not all(map(math.isfinite, self.t_grid)):
+            raise ValueError("t_grid entries must be finite")
         if min(*self.n_grid, self.replicates, self.workers) < 1 or self.probes < 2:
             raise ValueError("counts must be positive (probes >= 2)")
         _check_elements("n_grid", self.n_grid[-1], self.density.dimension)

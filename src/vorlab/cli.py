@@ -87,7 +87,14 @@ def _output(value: str) -> str:
     return value
 
 
-def _tuple(value: str, item=float) -> tuple:
+def _real(value: str) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite real, got {value!r}")
+    return v
+
+
+def _tuple(value: str, item=_real) -> tuple:
     return tuple(item(t) for t in value.split(","))
 
 
@@ -184,17 +191,24 @@ def render_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _density_model(config: ExperimentConfig) -> sampling.DensityModel:
-    return sampling.parse_density(config.density, config.dim)
-
-
-def _x_array(config: ExperimentConfig) -> np.ndarray | None:
-    if config.x is None:
-        return None
-    x = np.asarray(config.x, dtype=float)
-    if x.size != config.dim:
+def _experiment(cls, config: ExperimentConfig, **keys):
+    """The library config (cls) of a cell or diam run; its ValueError is a ConfigError."""
+    x = None if config.x is None else np.asarray(config.x, dtype=float)
+    if x is not None and x.size != config.dim:
         raise ConfigError(f"line 0: key 'x': has {x.size} coordinates for dim={config.dim}")
-    return x
+    try:
+        return cls(
+            density=sampling.parse_density(config.density, config.dim), x=x,
+            replicates=config.replicates, probes=config.probes, seed=config.seed,
+            workers=config.workers, **keys,
+        )
+    except ValueError as e:
+        raise ConfigError(f"line 0: {e}") from None
+
+
+def _row(config: ExperimentConfig, est, bounds, samples, elapsed, k=None, n=None) -> ResultRow:
+    """One CSV row: est is (estimate, stderr), bounds is (lower, upper)."""
+    return ResultRow(config.command, config.dim, k, n, *est, *bounds, config.seed, samples, elapsed)
 
 
 def _ms_since(t0: float) -> float:
@@ -206,14 +220,7 @@ def _run_alpha(config: ExperimentConfig) -> list[ResultRow]:
     est = moments.estimate_alpha_parallel(config.dim, config.samples, config.seed, config.workers)
     elapsed = _ms_since(t0)
     b = moments.alpha_bounds(config.dim)
-    return [
-        ResultRow(
-            command="alpha", d=config.dim, k=None, n=None,
-            estimate=est.value, stderr=est.stderr,
-            lower_bound=b.lower, upper_bound=b.upper,
-            seed=config.seed, samples=est.samples, elapsed_ms=elapsed,
-        )
-    ]
+    return [_row(config, (est.value, est.stderr), (b.lower, b.upper), est.samples, elapsed)]
 
 
 def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
@@ -228,54 +235,31 @@ def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
             )
             elapsed = _ms_since(t0)
             b = moments.z_moment_bounds(config.dim, k)
-            rows.append(
-                ResultRow(
-                    command="zmoments", d=config.dim, k=k, n=None,
-                    estimate=est.value, stderr=est.stderr,
-                    lower_bound=b.lower, upper_bound=b.upper,
-                    seed=config.seed, samples=est.samples, elapsed_ms=elapsed,
-                )
-            )
+            rows.append(_row(config, (est.value, est.stderr), (b.lower, b.upper),
+                             est.samples, elapsed, k=k))
     return rows
 
 
 def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
     t0 = time.perf_counter()
-    try:
-        cell_cfg = cellsim.CellExperimentConfig(
-            density=_density_model(config), x=_x_array(config), n=config.n,
-            replicates=config.replicates, probes=config.probes, k_max=config.k_max,
-            seed=config.seed, workers=config.workers,
-        )
-    except ValueError as e:
-        raise ConfigError(f"line 0: {e}") from None
-    result = cellsim.run_cell_experiment(cell_cfg)
+    result = cellsim.run_cell_experiment(
+        _experiment(cellsim.CellExperimentConfig, config, n=config.n, k_max=config.k_max)
+    )
     elapsed = _ms_since(t0)
     rows = []
     for k in range(1, config.k_max + 1):
         b = moments.z_moment_bounds(config.dim, k)
-        rows.append(
-            ResultRow(
-                command="cell", d=config.dim, k=k, n=config.n,
-                estimate=result.empirical_moments[k], stderr=result.moment_stderrs[k],
-                lower_bound=b.lower, upper_bound=b.upper,
-                seed=config.seed, samples=config.replicates, elapsed_ms=elapsed,
-            )
-        )
+        est = (result.empirical_moments[k], result.moment_stderrs[k])
+        rows.append(_row(config, est, (b.lower, b.upper), config.replicates, elapsed, k, config.n))
     return rows
 
 
 def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
     t0 = time.perf_counter()
-    try:
-        diam_cfg = cellsim.DiameterExperimentConfig(
-            density=_density_model(config), n_grid=config.n_grid, t_grid=config.t_grid,
-            x=_x_array(config), replicates=config.replicates, probes=config.probes,
-            seed=config.seed, workers=config.workers,
-        )
-    except ValueError as e:
-        raise ConfigError(f"line 0: {e}") from None
-    result = cellsim.run_diameter_experiment(diam_cfg)
+    result = cellsim.run_diameter_experiment(
+        _experiment(cellsim.DiameterExperimentConfig, config, n_grid=config.n_grid,
+                    t_grid=config.t_grid)
+    )
     elapsed = _ms_since(t0)
     rows = []
     for n in config.n_grid:
@@ -285,15 +269,9 @@ def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
             stderr = math.inf  # np.std of infinite values is nan
         else:
             stderr = float(np.std(ups, ddof=1) / math.sqrt(len(ups))) if len(ups) > 1 else 0.0
-        rows.append(
-            ResultRow(
-                command="diam", d=config.dim, k=None, n=n,
-                estimate=mean, stderr=stderr,
-                lower_bound=result.quantiles[n][0.5][0],
-                upper_bound=result.quantiles[n][0.5][1],
-                seed=config.seed, samples=config.replicates, elapsed_ms=elapsed,
-            )
-        )
+        # the medians of the scaled lower and upper estimates
+        rows.append(_row(config, (mean, stderr), result.quantiles[n][0.5], config.replicates,
+                         elapsed, n=n))
     return rows
 
 
@@ -303,30 +281,19 @@ def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
     for i in range(1, config.replicates + 1):
         t0 = time.perf_counter()
         rng = sampling.RandomStream(config.seed, i)
-        if d == 1:
-            # three random intervals, exact sweep oracle
-            centers = rng.random((3, 1)) * 2.0 - 1.0
-            radii = 0.1 + 0.9 * rng.random(3)
-            balls = [geometry.Ball(c, r) for c, r in zip(centers, radii)]
+        m = 3 if d == 1 else 2  # three random intervals, or two random balls
+        centers = rng.random((m, d)) * 2.0 - 1.0
+        radii = 0.1 + 0.9 * rng.random(m)
+        balls = [geometry.Ball(c, r) for c, r in zip(centers, radii)]
+        if d == 1:  # exact sweep oracle
             oracle = geometry.interval_union_length(
                 [(c[0] - r, c[0] + r) for c, r in zip(centers, radii)]
             )
-        else:
-            # two random balls, exact two-cap oracle
-            centers = rng.random((2, d)) * 2.0 - 1.0
-            radii = 0.1 + 0.9 * rng.random(2)
-            balls = [geometry.Ball(c, r) for c, r in zip(centers, radii)]
+        else:  # exact two-cap oracle
             oracle = geometry.two_ball_union_volume(*balls)
         mc = geometry.union_volume_mc(balls, config.samples, rng)
-        rows.append(
-            ResultRow(
-                command="unionvol-check", d=d, k=i, n=None,
-                estimate=mc.value, stderr=mc.stderr,
-                lower_bound=oracle - 4.0 * mc.stderr,
-                upper_bound=oracle + 4.0 * mc.stderr,
-                seed=config.seed, samples=mc.samples, elapsed_ms=_ms_since(t0),
-            )
-        )
+        bounds = (oracle - 4.0 * mc.stderr, oracle + 4.0 * mc.stderr)
+        rows.append(_row(config, (mc.value, mc.stderr), bounds, mc.samples, _ms_since(t0), k=i))
     return rows
 
 

@@ -42,8 +42,10 @@ def as_point(coords) -> np.ndarray:
     return p
 
 
-# widest rows that row_sq_norms sums column by column
+# widest rows that row_sq_norms sums column by column, and the rows per
+# block that it squares and sums at once above that width
 _ROW_LOOP_MAX_D = 7
+_NORM_ROWS = 1024
 
 
 def row_sq_norms(v: np.ndarray) -> np.ndarray:
@@ -53,11 +55,17 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
     one pass per column, so up to _ROW_LOOP_MAX_D columns the squares are
     summed column by column, left to right: numpy's own order for fewer
     than 8 terms.  Wider rows use numpy's pairwise reduction, which is
-    faster there.  Either way the result equals (v * v).sum(axis=-1) bit
-    for bit.
+    faster there, on blocks of _NORM_ROWS rows of the first axis, so that
+    the squares never fill a second array of v's size.  Either way the
+    result equals (v * v).sum(axis=-1) bit for bit.
     """
     if v.shape[-1] > _ROW_LOOP_MAX_D:
-        return np.square(v).sum(axis=-1)
+        if v.ndim == 1:
+            return np.square(v).sum()
+        out = np.empty(v.shape[:-1])
+        for i in range(0, len(v), _NORM_ROWS):
+            out[i : i + _NORM_ROWS] = np.square(v[i : i + _NORM_ROWS]).sum(axis=-1)
+        return out
     out = np.square(v[..., 0])
     tmp = np.empty_like(out)
     for j in range(1, v.shape[-1]):

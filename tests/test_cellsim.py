@@ -813,3 +813,6 @@ class TestRunDiameterExperiment:
             DiameterExperimentConfig(density=uniform_ball(1), n_grid=())
         with pytest.raises(ValueError, match="cone cover"):
             DiameterExperimentConfig(density=uniform_ball(6), n_grid=(100,))
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_grid"):
+                DiameterExperimentConfig(density=uniform_ball(1), n_grid=(100,), t_grid=(1.0, t))

@@ -140,6 +140,13 @@ class TestParseConfig:
         listing = re.search(r"Keys:(.*?)\.", readme, re.S).group(1)
         assert re.findall(r"`(\w+)`", listing) == [f.name for f in fields(ExperimentConfig)]
 
+    def test_readme_names_the_package_root(self):
+        # the root holds the library quick start's names and nothing else
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        names = set(re.findall(r"\bvl\.(\w+)", readme))
+        assert names == set(vorlab.__all__) - {"__version__"}
+        assert all(hasattr(vorlab, name) for name in vorlab.__all__)
+
 
 class TestRenderRoundTrip:
     @pytest.mark.parametrize(
@@ -327,6 +334,8 @@ class TestMainEntry:
         (["alpha", "--dim", "453"], "dim"),
         (["zmoments", "--dim", "600"], "dim"),
         (["alpha", "--samples", "2e6", "--output", "/nonexistent/dir/a.csv"], "output"),
+        (["diam", "--t-grid", "nan,inf"], "t_grid"),
+        (["alpha", "--x", "nan,1"], "x"),
     ])
     def test_key_bounds_exit_two(self, argv, key, capsys):
         start = time.monotonic()
@@ -356,6 +365,14 @@ class TestMainEntry:
             assert "key 'density'" in capsys.readouterr().err and not out.exists()
         else:
             assert "nan" not in out.read_text()
+
+    # the library's ValueError is wrapped once; the x check is not wrapped again
+    @pytest.mark.parametrize("command", ["cell", "diam"])
+    def test_x_dimension_error_line(self, command, capsys):
+        assert main([command, "--dim", "2", "--x", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "vorlab: config error: line 0: key 'x': has 1 coordinates for dim=2\n"
+        )
 
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["--config", "/nonexistent/config.txt"]) == 2

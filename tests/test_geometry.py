@@ -20,7 +20,7 @@ from vorlab.geometry import (
     union_volume_mc_values,
     unit_ball_volume,
 )
-from vorlab.sampling import RandomStream
+from vorlab.sampling import RandomStream, sample_unit_ball_batch
 
 import oracles
 from oracles import (
@@ -51,6 +51,24 @@ class TestRowSqNorms:
     def test_strided_view(self):
         v = np.random.default_rng(9).standard_normal((1000, 6))[:, ::2]
         assert np.array_equal(row_sq_norms(v), (v * v).sum(axis=-1))
+        # wide rows are summed in blocks of the first axis; a 1-d input is one row
+        rng = np.random.default_rng(10)
+        v = rng.standard_normal((2500, 40)) * 10.0 ** rng.uniform(-17, 17, (2500, 40))
+        for w in (v[::3, ::2], v[0], v[:, 1:30].T):
+            assert np.array_equal(row_sq_norms(w), (w * w).sum(axis=-1))
+
+    def test_wide_rows_take_no_second_array(self):
+        # at d = 8 a 2^16-point batch peaks at its 4.2 MB result and one
+        # block of squares, not at twice the result
+        rng = RandomStream(8)
+        sample_unit_ball_batch(8, 16, rng)
+        tracemalloc.start()
+        try:
+            sample_unit_ball_batch(8, 2**16, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestUnitBallVolume:
