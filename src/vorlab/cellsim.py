@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -233,42 +233,80 @@ def exact_cell_measure_1d(x, others, model: DensityModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cell-measure experiment
+# replicated experiments
 
 
 @dataclass(frozen=True, eq=False)
-class CellExperimentConfig:
+class _Replicated:
+    """The keys the cell and diam configs share; only `density` is positional."""
+
+    density: DensityModel
+    _: KW_ONLY
+    x: np.ndarray | None = None
+    replicates: int = 2000
+    probes: int = 5000
+    seed: int = 0
+    workers: int = 1
+
+    def _check(self, counts, min_probes: int, error: str) -> None:
+        """Default x to the origin and check the shared keys: `error` unless
+        the counts, replicates and workers are >= 1 and probes >= min_probes;
+        then workers <= MAX_WORKERS, the budget of probes and x in the support."""
+        x = np.zeros(self.density.dimension) if self.x is None else as_point(self.x)
+        object.__setattr__(self, "x", x)
+        if min(*counts, self.replicates, self.workers) < 1 or self.probes < min_probes:
+            raise ValueError(error)
+        shard_ranges(self.replicates, self.workers)  # raises above MAX_WORKERS
+        _check_elements("probes", self.probes, self.density.dimension)
+        if not self.density.support_contains(self.x):
+            raise ValueError("conditioning point x lies outside the support")
+
+
+def _replicate(block, cfg: _Replicated, n_grid) -> list[np.ndarray]:
+    """block((cfg, n, streams)) over the replicates of each n, one array per n.
+
+    Replicate r of grid entry i uses stream (seed, i * replicates + r), so
+    results do not depend on the worker count.  The shards of every entry go
+    through one pool; block's last axis holds the streams it was given.
+    """
+    R = cfg.replicates
+    shards = shard_ranges(R, cfg.workers)
+    tasks = [(cfg, n, range(i * R + s.start, i * R + s.stop))
+             for i, n in enumerate(n_grid) for s in shards]
+    if cfg.workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as ex:
+            parts = list(ex.map(block, tasks))
+    else:
+        parts = [block(t) for t in tasks]
+    k = len(shards)
+    return [np.concatenate(parts[i : i + k], axis=-1) for i in range(0, len(parts), k)]
+
+
+# ---------------------------------------------------------------------------
+# cell-measure experiment
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class CellExperimentConfig(_Replicated):
     """Parameters of a conditioned-cell measure experiment.
 
     `measure_mode` is "probe" (default, any dimension) or "exact"
     (one-dimensional models only: interval cell measure, no probe noise).
     """
 
-    density: DensityModel
-    x: np.ndarray | None = None
     n: int = 2000
-    replicates: int = 2000
-    probes: int = 5000
     k_max: int = 4
-    seed: int = 0
-    workers: int = 1
     measure_mode: str = "probe"
 
     def __post_init__(self):
-        x = np.zeros(self.density.dimension) if self.x is None else as_point(self.x)
-        object.__setattr__(self, "x", x)
-        if min(self.n, self.replicates, self.probes, self.k_max, self.workers) < 1:
-            raise ValueError("counts must be >= 1")
+        self._check((self.n, self.k_max), 1, "counts must be >= 1")
         _check_elements("n", self.n, self.density.dimension)
-        _check_elements("probes", self.probes, self.density.dimension)
         if self.measure_mode not in ("probe", "exact"):
             raise ValueError(f"unknown measure_mode {self.measure_mode!r}")
         if self.measure_mode == "probe" and self.k_max > self.probes:
             raise ValueError("k_max cannot exceed probes (k distinct probes per tuple)")
         if self.measure_mode == "exact" and self.density.dimension != 1:
             raise ValueError("exact measure mode requires a one-dimensional model")
-        if not self.density.support_contains(self.x):
-            raise ValueError("conditioning point x lies outside the support")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,29 +329,18 @@ def _falling(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _cell_block(args):
-    cfg, streams = args
-    scaled = np.empty(len(streams))
-    hits = np.empty(len(streams), dtype=np.intp) if cfg.measure_mode == "probe" else None
+def _cell_block(args) -> np.ndarray:
+    """Hit counts (probe mode) or exact cell measures of the given streams."""
+    cfg, n, streams = args
+    out = np.empty(len(streams))
     for j, r in enumerate(streams):
         rng = RandomStream(cfg.seed, r)
-        others = cfg.density.sample(rng, cfg.n - 1)
+        others = cfg.density.sample(rng, n - 1)
         if cfg.measure_mode == "exact":
-            mu = exact_cell_measure_1d(cfg.x, others, cfg.density)
-            scaled[j] = cfg.n * mu
+            out[j] = exact_cell_measure_1d(cfg.x, others, cfg.density)
         else:
-            h = len(_probe_hits(cfg.x, others, cfg.density, cfg.probes, rng))
-            hits[j] = h
-            scaled[j] = cfg.n * h / cfg.probes
-    return scaled, hits
-
-
-def _map_blocks(fn, args, workers: int):
-    """fn over args, in a pool when workers > 1; results come in task order."""
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as ex:
-        return list(ex.map(fn, args))
+            out[j] = len(_probe_hits(cfg.x, others, cfg.density, cfg.probes, rng))
+    return out
 
 
 def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
@@ -328,17 +355,19 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
     mode.
     """
     cfg = config
-    blocks = shard_ranges(cfg.replicates, cfg.workers)
-    parts = _map_blocks(_cell_block, [(cfg, b) for b in blocks], cfg.workers)
-    scaled = np.concatenate([p[0] for p in parts])
-    hits = np.concatenate([p[1] for p in parts]) if cfg.measure_mode == "probe" else None
+    (values,) = _replicate(_cell_block, cfg, (cfg.n,))
+    if cfg.measure_mode == "probe":
+        hits = values.astype(np.intp)
+        scaled = cfg.n * values / cfg.probes
+    else:
+        hits, scaled = None, cfg.n * values
 
     moments: dict[int, float] = {}
     stderrs: dict[int, float] = {}
     R = cfg.replicates
     for k in range(1, cfg.k_max + 1):
         if cfg.measure_mode == "probe":
-            per = float(cfg.n) ** k * _falling(hits.astype(float), k) / _falling(
+            per = float(cfg.n) ** k * _falling(values, k) / _falling(
                 np.array(float(cfg.probes)), k
             )
         else:
@@ -347,13 +376,8 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
         stderrs[k] = float(per.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
 
     return CellExperimentResult(
-        replicates=R,
-        scaled_measures=scaled,
-        hits=hits,
-        empirical_moments=moments,
-        moment_stderrs=stderrs,
-        ecdf=np.sort(scaled),
-        config=cfg,
+        replicates=R, scaled_measures=scaled, hits=hits, empirical_moments=moments,
+        moment_stderrs=stderrs, ecdf=np.sort(scaled), config=cfg,
     )
 
 
@@ -481,34 +505,22 @@ def estimate_cell_diameter(
     return _max_pairwise_distance(hits), math.sqrt(d) * reach
 
 
-@dataclass(frozen=True, eq=False)
-class DiameterExperimentConfig:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class DiameterExperimentConfig(_Replicated):
     """Parameters of the diameter-scaling experiment over a grid of n."""
 
-    density: DensityModel
     n_grid: tuple[int, ...]
     t_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    x: np.ndarray | None = None
-    replicates: int = 2000
-    probes: int = 5000
-    seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
-        x = np.zeros(self.density.dimension) if self.x is None else as_point(self.x)
-        object.__setattr__(self, "x", x)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be a nonempty increasing sequence")
         if not all(map(math.isfinite, self.t_grid)):
             raise ValueError("t_grid entries must be finite")
-        if min(*self.n_grid, self.replicates, self.workers) < 1 or self.probes < 2:
-            raise ValueError("counts must be positive (probes >= 2)")
+        self._check(self.n_grid, 2, "counts must be positive (probes >= 2)")
         _check_elements("n_grid", self.n_grid[-1], self.density.dimension)
-        _check_elements("probes", self.probes, self.density.dimension)
-        if not self.density.support_contains(self.x):
-            raise ValueError("conditioning point x lies outside the support")
         if self.density.dimension > _DIAM_MAX_D:
             raise ValueError(
                 f"diam needs dim <= {_DIAM_MAX_D}: there is no practical certified "
@@ -536,9 +548,10 @@ class DiameterResult:
     config: DiameterExperimentConfig
 
 
-def _diam_block(args):
+def _diam_block(args) -> np.ndarray:
+    """The (lower, upper) diameter estimates of the given streams, as rows."""
     cfg, n, streams = args
-    brackets = np.empty((2, len(streams)))  # lower and upper estimates
+    brackets = np.empty((2, len(streams)))
     for j, r in enumerate(streams):
         rng = RandomStream(cfg.seed, r)
         others = cfg.density.sample(rng, n - 1)
@@ -550,23 +563,12 @@ def run_diameter_experiment(config: DiameterExperimentConfig) -> DiameterResult:
     """Estimate the n^(-1/d) diameter scaling over the configured n grid.
 
     Replicate r of grid entry i uses stream (seed, i * replicates + r), so
-    results do not depend on the worker count.  The blocks of every grid
-    entry go through one pool.
+    results do not depend on the worker count.
     """
     cfg = config
-    d = cfg.density.dimension
-    R = cfg.replicates
-    blocks = shard_ranges(R, cfg.workers)
-    tasks = [(cfg, n, range(i * R + b.start, i * R + b.stop))
-             for i, n in enumerate(cfg.n_grid) for b in blocks]
-    parts = _map_blocks(_diam_block, tasks, cfg.workers)
-    scaled_lower: dict[int, np.ndarray] = {}
-    scaled_upper: dict[int, np.ndarray] = {}
-    quantiles: dict[int, dict[float, tuple[float, float]]] = {}
-    exceedance: dict[int, np.ndarray] = {}
-    for i, n in enumerate(cfg.n_grid):
-        lows, ups = np.concatenate(parts[i * len(blocks) : (i + 1) * len(blocks)], axis=1)
-        scale = n ** (1.0 / d)
+    scaled_lower, scaled_upper, quantiles, exceedance = {}, {}, {}, {}
+    for n, (lows, ups) in zip(cfg.n_grid, _replicate(_diam_block, cfg, cfg.n_grid)):
+        scale = n ** (1.0 / cfg.density.dimension)
         lows *= scale
         ups *= scale
         scaled_lower[n] = lows
@@ -582,11 +584,6 @@ def run_diameter_experiment(config: DiameterExperimentConfig) -> DiameterResult:
         }
         exceedance[n] = np.array([float(np.mean(ups >= t)) for t in cfg.t_grid])
     return DiameterResult(
-        n_grid=cfg.n_grid,
-        t_grid=cfg.t_grid,
-        scaled_lower=scaled_lower,
-        scaled_upper=scaled_upper,
-        quantiles=quantiles,
-        exceedance=exceedance,
-        config=cfg,
+        n_grid=cfg.n_grid, t_grid=cfg.t_grid, scaled_lower=scaled_lower,
+        scaled_upper=scaled_upper, quantiles=quantiles, exceedance=exceedance, config=cfg,
     )

@@ -16,7 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from . import cellsim, geometry, moments, sampling
+from . import cellsim, geometry, moments, sampling, wstat
+from .sampling import MAX_WORKERS
 
 __all__ = [
     "ExperimentConfig",
@@ -32,9 +33,6 @@ __all__ = [
 ]
 
 COMMANDS = ("alpha", "zmoments", "cell", "diam", "unionvol-check")
-
-# a process pool forks all of its workers at once, so the count is bounded
-MAX_WORKERS = 64
 
 # per-command default sample budgets (alpha draws are cheap and exact; the
 # others pay for nested sampling per draw)
@@ -122,7 +120,8 @@ class ExperimentConfig:
     replicates: int = _key(_count, 2000)
     probes: int = _key(_count, 5000)
     samples: int = _key(partial(_count, lo=2), 1_000_000)
-    inner_samples: int = _key(partial(_count, lo=2, hi=moments.MAX_INNER_SAMPLES), 4096)
+    inner_samples: int = _key(partial(_count, lo=2, hi=moments.MAX_INNER_SAMPLES),
+                              wstat.DEFAULT_INNER_SAMPLES)
     k_max: int = _key(partial(_count, hi=moments.MAX_FACTORIAL_K), 4)
     n_grid: tuple[int, ...] = _key(partial(_tuple, item=_count), (1000, 10000))
     t_grid: tuple[float, ...] = _key(_tuple, (0.5, 1.0, 2.0, 4.0))
@@ -334,39 +333,42 @@ def write_csv(rows, path: str | None) -> None:
             fh.write(text)
 
 
-def _add_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="key=value config file")
-    for key in _FLAG_KEYS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the flags, shared by the top level and every subcommand; a flag that is
+    # not given sets nothing, so one given before the subcommand is kept and
+    # the later of two wins
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--config", metavar="FILE", help="key=value config file")
+    for key in _FLAG_KEYS:
+        flags.add_argument("--" + key.replace("_", "-"), dest=key)
     parser = argparse.ArgumentParser(
         prog="vorlab",
         description="Voronoi cell-measure experiments with CSV output",
+        parents=[flags],
     )
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
-        _add_flags(sub.add_parser(name))
-    _add_flags(parser)
+        sub.add_parser(name, parents=[flags])
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config of the given flags over the --config file's keys."""
+    given = vars(args)
     mapping: dict = {}
-    if args.config:
+    if "config" in given:
+        path = given["config"]
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
-            raise ConfigError(f"line 0: key 'config': cannot read {args.config!r}: {e}") from None
+            raise ConfigError(f"line 0: key 'config': cannot read {path!r}: {e}") from None
         mapping.update(parse_config_mapping(text))
-    if args.command:
-        mapping["command"] = args.command
+    if given.get("command"):
+        mapping["command"] = given["command"]
     for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            _apply_key(mapping, key, value, 0)
+        if key in given:
+            _apply_key(mapping, key, given[key], 0)
     return _build_config(mapping)
 
 

@@ -82,7 +82,7 @@ def shard_pool(workers: int, samples: int):
 
     Pass it to several estimates to start one pool for all of them.
     """
-    size = min(workers, samples)
+    size = len(shard_ranges(samples, workers))
     return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
 
 
@@ -224,11 +224,8 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
         fn, args = _alpha_sums, [(d, len(r), seed, i) for i, r in shards]
     else:
         fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
-    if pool is not None:
+    with nullcontext(pool) if pool is not None else shard_pool(workers, int(outer)) as pool:
         est = _estimate(fn, args, pool)
-    else:
-        with shard_pool(workers, int(outer)) as own:
-            est = _estimate(fn, args, own)
     # the k = 2 shards average the excess over a control of mean 1
     return est if k > 2 else replace(est, value=1.0 + est.value)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .geometry import as_point, ball_intersection_volumes, row_sq_norms, unit_ball_volume
 
 __all__ = [
+    "MAX_WORKERS",
     "RandomStream",
     "DensityModel",
     "uniform_ball",
@@ -65,14 +66,19 @@ class RandomStream:
         return int(self._gen.binomial(trials, p))
 
 
+# a process pool forks all of its workers at once, so the count is bounded
+MAX_WORKERS = 64
+
+
 def shard_ranges(total: int, workers: int) -> list[range]:
     """Split range(total) into at most `workers` consecutive, nonempty ranges.
 
     Sizes come from divmod(total, workers): they differ by at most one, and
-    the larger ones come first.
+    the larger ones come first.  Every pooled path splits its work here
+    before it starts a pool, so `workers` is checked against MAX_WORKERS.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}]")
     base, extra = divmod(total, workers)
     ends = [i * base + min(i, extra) for i in range(min(workers, total) + 1)]
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
@@ -234,6 +240,10 @@ def uniform_cube(dimension: int, side: float = 1.0) -> DensityModel:
     return DensityModel(kind="uniform-cube", dimension=dimension, side=side)
 
 
+# the scaled density kinds of the spec grammar, by (kind, scale key)
+_SCALED = {("uniform-ball", "r"): uniform_ball, ("uniform-cube", "side"): uniform_cube}
+
+
 def parse_density(spec: str, dimension: int) -> DensityModel:
     """Build a model from a spec string.
 
@@ -243,19 +253,12 @@ def parse_density(spec: str, dimension: int) -> DensityModel:
     if text == "gaussian":
         return gaussian(dimension)
     kind, _, arg = text.partition(":")
-    try:
-        if kind == "uniform-ball":
-            key, _, val = arg.partition("=")
-            if key != "r" or not val:
-                raise ValueError
-            return uniform_ball(dimension, float(val))
-        if kind == "uniform-cube":
-            key, _, val = arg.partition("=")
-            if key != "side" or not val:
-                raise ValueError
-            return uniform_cube(dimension, float(val))
-    except ValueError:
-        pass
+    key, _, val = arg.partition("=")
+    if (kind, key) in _SCALED and val:
+        try:
+            return _SCALED[kind, key](dimension, float(val))
+        except ValueError:
+            pass
     raise ValueError(
         f"bad density spec {spec!r}; expected uniform-ball:r=<real>, gaussian,"
         " or uniform-cube:side=<real>, with r and side in [1e-100, 1e100]"

@@ -39,12 +39,6 @@ DEFAULT_INNER_SAMPLES = 4096
 _BLOCK = 1 << 13
 
 
-def _e1(d: int) -> np.ndarray:
-    e = np.zeros(d)
-    e[0] = 1.0
-    return e
-
-
 def w_and_lens(y, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The exact normalized volumes W of B(e1, 1) ∪ B(y, ||y||), and the
     normalized lens volumes L of B(e1, 1) ∩ B(y, ||y||), for the rows y of
@@ -89,13 +83,12 @@ def wk_mc_values(
         raise ValueError("wk_mc_values is for k >= 3; lower orders are exact")
     if inner_samples < 1:
         raise ValueError("inner_samples must be >= 1 for k >= 3")
-    y = sample_unit_ball_batch(d, n * (k - 1), rng).reshape(n, k - 1, d)
-    centers = np.concatenate(
-        [np.broadcast_to(_e1(d), (n, 1, d)), y], axis=1
-    )
-    radii = np.concatenate(
-        [np.ones((n, 1)), np.sqrt(row_sq_norms(y))], axis=1
-    )
+    # each configuration is the fixed ball B(e1, 1), then k - 1 balls B(y, |y|)
+    centers = np.zeros((n, k, d))
+    centers[:, 0, 0] = 1.0
+    centers[:, 1:] = sample_unit_ball_batch(d, n * (k - 1), rng).reshape(n, k - 1, d)
+    radii = np.ones((n, k))
+    radii[:, 1:] = np.sqrt(row_sq_norms(centers[:, 1:]))
     v = unit_ball_volume(d)
     return union_volume_mc_values(centers, radii, inner_samples, rng) / v
 

@@ -448,6 +448,28 @@ class TestMainEntry:
         assert code == 0
         assert "zmoments" in capsys.readouterr().out
 
+    def test_flag_before_subcommand_is_kept(self, capsys):
+        assert main(["--dim", "3", "alpha", "--samples", "100"]) == 0
+        (row,) = rows_from_csv(capsys.readouterr().out)
+        assert (row.command, row.d, row.samples) == ("alpha", 3, 100)
+
+    @pytest.mark.parametrize("argv, dim", [
+        (["--dim", "3", "alpha", "--samples", "100", "--dim", "2"], 2),
+        (["--dim", "2", "--dim", "3", "alpha", "--samples", "100"], 3),
+    ])
+    def test_later_flag_wins(self, argv, dim, capsys):
+        assert main(argv) == 0
+        assert rows_from_csv(capsys.readouterr().out)[0].d == dim
+
+    @pytest.mark.parametrize("argv", [["--help"], ["alpha", "--help"]])
+    def test_help_lists_the_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        for key in ("config", *cli._FLAG_KEYS):
+            assert "--" + key.replace("_", "-") in text
+
 
 def _python(code: str, argv: list[str]) -> str:
     """Run code in a fresh interpreter that imports this vorlab; its stdout."""

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from vorlab import cellsim, cli, moments
 from vorlab.sampling import (
+    MAX_WORKERS,
     DensityModel,
     RandomStream,
     gaussian,
@@ -77,6 +79,42 @@ class TestShardRanges:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             shard_ranges(10, 0)
+        with pytest.raises(ValueError, match="workers"):
+            shard_ranges(5, 65)
+
+
+class _NoPool:
+    """A pool class that fails when constructed."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+# every library entry that takes a worker count, called with one too many
+_TOO_MANY = MAX_WORKERS + 1
+_WORKER_ENTRIES = {
+    "CellExperimentConfig": lambda: cellsim.CellExperimentConfig(
+        density=uniform_ball(2), replicates=1000, workers=_TOO_MANY),
+    "DiameterExperimentConfig": lambda: cellsim.DiameterExperimentConfig(
+        density=uniform_ball(2), n_grid=(10,), replicates=1000, workers=_TOO_MANY),
+    "estimate_alpha_parallel": lambda: moments.estimate_alpha_parallel(
+        2, 10**6, seed=0, workers=_TOO_MANY),
+    "estimate_z_moment_parallel": lambda: moments.estimate_z_moment_parallel(
+        2, 3, 10**6, inner=64, seed=0, workers=_TOO_MANY),
+    "shard_pool": lambda: moments.shard_pool(_TOO_MANY, 10**6),
+}
+
+
+class TestWorkerBound:
+    def test_one_bound_for_the_cli_and_the_library(self):
+        assert MAX_WORKERS == cli.MAX_WORKERS == 64
+
+    @pytest.mark.parametrize("entry", sorted(_WORKER_ENTRIES))
+    def test_too_many_workers_rejected_before_any_pool(self, entry, monkeypatch):
+        monkeypatch.setattr(moments, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(cellsim, "ProcessPoolExecutor", _NoPool)
+        with pytest.raises(ValueError, match=f"workers must be in \\[1, {MAX_WORKERS}\\]"):
+            _WORKER_ENTRIES[entry]()
 
 
 class TestSampleUnitBall:

@@ -31,6 +31,11 @@ _CASES = {
         {"cellsim.NNIndex.build", "cellsim.NNIndex.query", "cellsim.task",
          "cellsim.run_cell_experiment", "cli.run"},
     ),
+    "cell-pool": (
+        ["cell", "--dim", "2", "--n", "50", "--replicates", "4", "--probes", "200",
+         "--workers", "2"],
+        {"cellsim.task", "cellsim.run_cell_experiment", "cli.run"},
+    ),
     "alpha": (
         ["alpha", "--dim", "2", "--samples", "2e4", "--workers", "2"],
         {"moments.estimate", "moments.task", "wstat.sample_w_batch",
@@ -80,3 +85,17 @@ def test_zmoment_task_holds_the_level_calls(tmp_path):
     level_calls = [r for r in spans.values() if r["name"] == "wstat.wk_mc_values"]
     assert level_calls
     assert all(spans[r["parent"]]["name"] == "moments.task" for r in level_calls)
+
+
+@pytest.mark.parametrize("command, layer", [
+    ("diam", "cellsim"), ("cell-pool", "cellsim"), ("alpha", "moments"),
+])
+def test_pooled_run_records_its_pool(command, layer, tmp_path):
+    # perfbench/layers.py finds a layer's pools by their records and counts
+    # the worker time of the "<layer>.task" spans that carry a pool's id
+    argv, _ = _CASES[command]
+    records = _trace(argv, tmp_path)
+    (pool,) = [r for r in records if r["kind"] == "pool"]
+    assert pool["layer"] == layer
+    tasks = [r for r in records if r["kind"] == "span" and r["name"] == f"{layer}.task"]
+    assert tasks and all(r.get("pool") == pool["id"] for r in tasks)
