@@ -8,14 +8,13 @@ quick start; everything else is imported from its module.
 """
 
 from .cellsim import CellExperimentConfig, run_cell_experiment
-from .moments import estimate_alpha
-from .sampling import RandomStream, uniform_ball
+from .moments import estimate_alpha_parallel
+from .sampling import uniform_ball
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RandomStream",
-    "estimate_alpha",
+    "estimate_alpha_parallel",
     "CellExperimentConfig",
     "run_cell_experiment",
     "uniform_ball",

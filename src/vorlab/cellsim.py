@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import as_point, row_sq_norms, unit_ball_volume
-from .sampling import DensityModel, RandomStream, sample_unit_ball_batch, shard_ranges
+from .geometry import as_point, check_dim, row_sq_norms, unit_ball_volume
+from .sampling import DensityModel, RandomStream, check_seed, sample_unit_ball_batch, shard_ranges
 
 __all__ = [
     "NNIndex",
@@ -60,7 +60,8 @@ _QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 _DIAM_MAX_D = 5
 
 # largest n * d, and probes * d, of a cell or diam config: a replicate's
-# (n - 1, d) sample and (probes, d) draws stay within 512 MB each
+# (n - 1, d) sample and (probes, d) draws stay within 512 MB each; also the
+# largest replicates * result columns, so that the results do too
 _MAX_ELEMENTS = 1 << 26
 
 # elements of the (block, n, d) difference array built per block of queries
@@ -86,10 +87,10 @@ _PAIR_SLACK = 1.0 - 1e-9
 _PAIR_ELEMENTS = 1 << 16
 
 
-def _check_elements(key: str, count: int, d: int) -> None:
-    if count * d > _MAX_ELEMENTS:
+def _check_elements(key: str, count: int, width: int, of: str = "dim") -> None:
+    if count * width > _MAX_ELEMENTS:
         raise ValueError(
-            f"key {key!r}: {key} * dim = {count * d} exceeds the budget of 2^26 elements"
+            f"key {key!r}: {key} * {of} = {count * width} exceeds the budget of 2^26 elements"
         )
 
 
@@ -248,16 +249,19 @@ class _Replicated:
     seed: int = 0
     workers: int = 1
 
-    def _check(self, counts, min_probes: int, error: str) -> None:
+    def _check(self, counts, min_probes: int, columns: int, error: str) -> None:
         """Default x to the origin and check the shared keys: `error` unless
         the counts, replicates and workers are >= 1 and probes >= min_probes;
-        then workers <= MAX_WORKERS, the budget of probes and x in the support."""
+        then the seed, workers <= MAX_WORKERS, the budgets of probes and of
+        the replicates' `columns` results each, and x in the support."""
         x = np.zeros(self.density.dimension) if self.x is None else as_point(self.x)
         object.__setattr__(self, "x", x)
         if min(*counts, self.replicates, self.workers) < 1 or self.probes < min_probes:
             raise ValueError(error)
+        check_seed(self.seed)
         shard_ranges(self.replicates, self.workers)  # raises above MAX_WORKERS
         _check_elements("probes", self.probes, self.density.dimension)
+        _check_elements("replicates", self.replicates, columns, "result columns")
         if not self.density.support_contains(self.x):
             raise ValueError("conditioning point x lies outside the support")
 
@@ -299,7 +303,7 @@ class CellExperimentConfig(_Replicated):
     measure_mode: str = "probe"
 
     def __post_init__(self):
-        self._check((self.n, self.k_max), 1, "counts must be >= 1")
+        self._check((self.n, self.k_max), 1, 1, "counts must be >= 1")
         _check_elements("n", self.n, self.density.dimension)
         if self.measure_mode not in ("probe", "exact"):
             raise ValueError(f"unknown measure_mode {self.measure_mode!r}")
@@ -395,8 +399,7 @@ def cone_directions(d: int) -> np.ndarray:
     repaired until the convex hull of the directions shows no hole.  There
     is no cover for d > 5, where one would have thousands of cones.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dim(d)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif d == 2:
@@ -519,7 +522,8 @@ class DiameterExperimentConfig(_Replicated):
             raise ValueError("n_grid must be a nonempty increasing sequence")
         if not all(map(math.isfinite, self.t_grid)):
             raise ValueError("t_grid entries must be finite")
-        self._check(self.n_grid, 2, "counts must be positive (probes >= 2)")
+        # a lower and an upper estimate per replicate and grid entry
+        self._check(self.n_grid, 2, 2 * len(self.n_grid), "counts must be positive (probes >= 2)")
         _check_elements("n_grid", self.n_grid[-1], self.density.dimension)
         if self.density.dimension > _DIAM_MAX_D:
             raise ValueError(

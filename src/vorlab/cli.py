@@ -59,9 +59,7 @@ def _count(value: str, lo: int = 1, hi: float = math.inf) -> int:
 
 
 def _seed(value: str) -> int:
-    v = int(value)
-    if not 0 <= v < 1 << 64:
-        raise ValueError(f"must be in [0, 2**64), got {value!r}")
+    sampling.check_seed(v := int(value))
     return v
 
 

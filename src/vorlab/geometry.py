@@ -73,6 +73,12 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_dim(d) -> None:
+    """Raise ValueError unless d is an integer in [1, MAX_DIM]."""
+    if int(d) != d or not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {d!r}")
+
+
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in d dimensions, pi^(d/2) / Gamma(d/2 + 1).
 
@@ -81,8 +87,7 @@ def unit_ball_volume(d: int) -> float:
     returns 2, pi, and pi^2/2 exactly for d = 1, 2, 4).  Raises above
     MAX_DIM, where the volume is no longer a normal double.
     """
-    if int(d) != d or not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {d!r}")
+    check_dim(d)
     v = 2.0 if d % 2 else 1.0
     for j in range(2 + d % 2, int(d) + 1, 2):
         v *= 2.0 * math.pi / j

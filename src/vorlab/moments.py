@@ -20,18 +20,16 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import _NO_STATS, Estimate, _merge, _stats
-from .sampling import RandomStream, shard_ranges
+from .geometry import _NO_STATS, Estimate, _merge, _stats, check_dim
+from .sampling import RandomStream, check_seed, shard_ranges
 from .wstat import _BLOCK, DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
 
 __all__ = [
     "MomentBounds",
     "MAX_FACTORIAL_K",
     "MAX_INNER_SAMPLES",
-    "estimate_alpha",
     "estimate_alpha_parallel",
     "alpha_bounds",
-    "estimate_z_moment",
     "estimate_z_moment_parallel",
     "z_moment_bounds",
     "z_moment_closed_form_d1",
@@ -122,7 +120,8 @@ def _alpha_sums(args) -> tuple[int, float, float]:
     return acc
 
 
-def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
+def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1, *,
+                            stream_index: int = 0) -> Estimate:
     """alpha(d) = E[2 / W^2] over exact two-ball draws, with standard error.
 
     Estimated as 1 + the mean of the excess 2/W^2 - 2/(1 + |Y|^d)^2, whose
@@ -132,26 +131,17 @@ def estimate_alpha(d: int, samples: int, rng: RandomStream) -> Estimate:
     is free of plug-in bias and the high-precision d = 2, 3 reference
     values are reachable by sampling alone.
 
-    `rng` only names the stream: its (seed, stream_index) is read, and its
-    position is neither read nor advanced, so two calls with one `rng`
-    return the same estimate.
+    The draws are split over the `workers` consecutive streams (seed,
+    stream_index), (seed, stream_index + 1), ..., whose partial sums are
+    merged in stream order, so the estimate is bit-reproducible for fixed
+    (seed, workers, stream_index).
     """
-    return _z_moment(d, 2, samples, 0, rng.seed, rng.stream_index, 1)
-
-
-def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1) -> Estimate:
-    """Split the sample budget across worker streams 0..workers-1.
-
-    Results are bit-reproducible for a fixed (seed, workers) pair because
-    shard partials are merged in stream-index order.
-    """
-    return _z_moment(d, 2, samples, 0, seed, 0, workers)
+    return _z_moment(d, 2, samples, DEFAULT_INNER_SAMPLES, seed, stream_index, workers)
 
 
 def alpha_bounds(d: int) -> MomentBounds:
     """Envelope 1 <= alpha(d) <= min(2, 1 + 6 (3/4)^(d/2))."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dim(d)
     return MomentBounds(lower=1.0, upper=min(2.0, 1.0 + 6.0 * 0.75 ** (d / 2)))
 
 
@@ -207,19 +197,21 @@ def _zmoment_sums(args) -> tuple[int, float, float]:
 
 
 def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Estimate:
-    """The one body of the estimators: shard `outer` draws over streams
-    first_stream, first_stream + 1, ... (one per worker), run in `pool` or,
-    when it is None, in a pool of their own."""
+    """The one body of the estimators: check every argument, then shard
+    `outer` draws over streams first_stream, first_stream + 1, ... (one per
+    worker), run in `pool` or, when it is None, in a pool of their own."""
+    check_dim(d)
     _factorial(k)
-    if k == 1:
-        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
-    if seed is None:
-        raise ValueError("a random stream is required for k >= 2")
+    check_seed(seed)
     if outer < 2:
         raise ValueError("the sample count must be >= 2")
-    if k >= 3 and not 2 <= inner <= MAX_INNER_SAMPLES:
-        raise ValueError(f"inner must be in [2, {MAX_INNER_SAMPLES}] when k >= 3")
+    if not 2 <= inner <= MAX_INNER_SAMPLES:
+        raise ValueError(f"inner must be in [2, {MAX_INNER_SAMPLES}]")
+    if first_stream < 0:
+        raise ValueError("stream_index must be >= 0")
     shards = list(enumerate(shard_ranges(int(outer), workers), start=first_stream))
+    if k == 1:
+        return Estimate(value=1.0, stderr=0.0, samples=int(outer))
     if k == 2:
         fn, args = _alpha_sums, [(d, len(r), seed, i) for i, r in shards]
     else:
@@ -230,12 +222,9 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
     return est if k > 2 else replace(est, value=1.0 + est.value)
 
 
-def estimate_z_moment(
-    d: int,
-    k: int,
-    outer: int,
-    inner: int = DEFAULT_INNER_SAMPLES,
-    rng: RandomStream | None = None,
+def estimate_z_moment_parallel(
+    d: int, k: int, outer: int, inner: int = DEFAULT_INNER_SAMPLES, seed: int = 0,
+    workers: int = 1, pool=None, *, stream_index: int = 0,
 ) -> Estimate:
     """Mean of k! / W_k^k over `outer` draws of the order-k union volume.
 
@@ -244,34 +233,16 @@ def estimate_z_moment(
     (2..MAX_INNER_SAMPLES) caps the inner draws of one configuration; the
     estimator spends about 66 of them per outer draw at the default cap, and
     its bias is O(1/inner^2).  The standard error covers both the outer and
-    the inner variation.  `rng` only names the stream, as in estimate_alpha:
-    its position is neither read nor advanced.
+    the inner variation.  Streams and their merge are those of
+    estimate_alpha_parallel.  `pool`, from shard_pool(workers, outer), lets
+    the estimates of several k share one process pool.
     """
-    seed, stream = (None, 0) if rng is None else (rng.seed, rng.stream_index)
-    return _z_moment(d, k, outer, inner, seed, stream, 1)
-
-
-def estimate_z_moment_parallel(
-    d: int,
-    k: int,
-    outer: int,
-    inner: int = DEFAULT_INNER_SAMPLES,
-    seed: int = 0,
-    workers: int = 1,
-    pool=None,
-) -> Estimate:
-    """Worker-sharded version of estimate_z_moment (fixed-order merge).
-
-    `pool`, from shard_pool(workers, outer), lets the estimates of several
-    k share one process pool.
-    """
-    return _z_moment(d, k, outer, inner, seed, 0, workers, pool)
+    return _z_moment(d, k, outer, inner, seed, stream_index, workers, pool)
 
 
 def z_moment_bounds(d: int, k: int) -> MomentBounds:
     """Sandwich k! / 2^(dk) <= E[Z^k] <= k! for the limiting moments."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dim(d)
     kf = _factorial(k)
     return MomentBounds(lower=kf * 2.0 ** (-d * k), upper=kf)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_point, ball_intersection_volumes, row_sq_norms, unit_ball_volume
+from .geometry import as_point, ball_intersection_volumes, check_dim, row_sq_norms, unit_ball_volume
 
 __all__ = [
     "MAX_WORKERS",
@@ -70,6 +70,12 @@ class RandomStream:
 MAX_WORKERS = 64
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer in [0, 2^64), as a config's is."""
+    if int(seed) != seed or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def shard_ranges(total: int, workers: int) -> list[range]:
     """Split range(total) into at most `workers` consecutive, nonempty ranges.
 
@@ -86,8 +92,7 @@ def shard_ranges(total: int, workers: int) -> list[range]:
 
 def sample_unit_ball_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     """n points uniform in the unit ball: gaussian direction, radius U^(1/d)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dim(d)
     g = rng.standard_normal((n, d))
     g /= np.sqrt(row_sq_norms(g))[:, None]
     return np.multiply(g, (rng.random(n) ** (1.0 / d))[:, None], out=g)
@@ -112,8 +117,7 @@ class DensityModel:
     def __post_init__(self):
         if self.kind not in ("uniform-ball", "gaussian", "uniform-cube"):
             raise ValueError(f"unknown density kind {self.kind!r}")
-        if int(self.dimension) != self.dimension or self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        check_dim(self.dimension)
         # squared distances at these scales stay normal doubles
         if self.kind == "uniform-ball" and not 1e-100 <= self.radius <= 1e100:
             raise ValueError("uniform-ball radius must be in [1e-100, 1e100]")

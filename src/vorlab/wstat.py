@@ -61,8 +61,6 @@ def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
     """n independent two-ball draws, exactly, as an (n, 2) array: column 0
     is W and column 1 the normalized lens volume L, as w_and_lens gives
     them, with W + L = 1 + ||Y||^d up to rounding."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     y = sample_unit_ball_batch(d, n, rng)
     out = np.empty((n, 2), order="F")  # contiguous columns
     for i in range(0, n, _BLOCK):

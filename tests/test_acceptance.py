@@ -26,7 +26,7 @@ from vorlab.geometry import (
 )
 from vorlab.moments import (
     estimate_alpha_parallel,
-    estimate_z_moment,
+    estimate_z_moment_parallel,
     z_cdf_d1,
     z_moment_bounds,
     z_moment_closed_form_d1,
@@ -63,7 +63,7 @@ def alpha_grid():
 @pytest.fixture(scope="session")
 def z2_estimates():
     return {
-        d: estimate_z_moment(d, 2, outer=400_000, rng=RandomStream(230, d))
+        d: estimate_z_moment_parallel(d, 2, outer=400_000, seed=230, stream_index=d)
         for d in (1, 2, 3)
     }
 
@@ -74,8 +74,8 @@ def zk_estimates():
     for d in (1, 2, 3):
         outer = 15_000 if d == 1 else 8_000
         for k in (3, 4):
-            out[(d, k)] = estimate_z_moment(
-                d, k, outer=outer, inner=4096, rng=RandomStream(240 + d, k)
+            out[(d, k)] = estimate_z_moment_parallel(
+                d, k, outer=outer, inner=4096, seed=240 + d, stream_index=k
             )
     return out
 
@@ -167,7 +167,7 @@ def test_criterion_05_z2_consistency(alpha_grid, z2_estimates):
     ok = True
     details = []
     for d in (1, 2, 3):
-        z1 = estimate_z_moment(d, 1, outer=10, rng=RandomStream(0))
+        z1 = estimate_z_moment_parallel(d, 1, outer=10, seed=0)
         if not (z1.value == 1.0 and z1.stderr == 0.0):
             ok = False
         za, al = z2_estimates[d], alpha_grid[d]

@@ -336,6 +336,10 @@ class TestMainEntry:
         (["alpha", "--samples", "2e6", "--output", "/nonexistent/dir/a.csv"], "output"),
         (["diam", "--t-grid", "nan,inf"], "t_grid"),
         (["alpha", "--x", "nan,1"], "x"),
+        (["cell", "--dim", "1", "--n", "2", "--probes", "4", "--replicates", "1e12"],
+         "replicates"),
+        (["diam", "--dim", "1", "--n-grid", "2", "--probes", "2", "--replicates", "1e9"],
+         "replicates"),
     ])
     def test_key_bounds_exit_two(self, argv, key, capsys):
         start = time.monotonic()
@@ -479,6 +483,14 @@ def _python(code: str, argv: list[str]) -> str:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_readme_quick_start_runs():
+    # the library quick start, verbatim, so that it cannot rot unseen
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    lines = _python(block, []).splitlines()
+    assert len(lines) == 2 and lines[1].startswith("{1: ")
 
 
 # argv per case id; cell and diam run with each density and a pool of two

@@ -63,6 +63,9 @@ CASES = {
     "alpha-d21": ["alpha", "--dim", "21", "--samples", "2e4", "--seed", "61"],
     "zmoments-d8": ["zmoments", "--dim", "8", "--k-max", "3", "--samples", "200",
                     "--inner-samples", "256", "--seed", "41"],
+    # the multilevel estimator (k = 3) sharded over a shared pool of 3 workers
+    "zmoments-pool": ["zmoments", "--dim", "2", "--k-max", "3", "--samples", "40",
+                      "--inner-samples", "64", "--workers", "3", "--seed", "17"],
     "cell-d8": ["cell", "--dim", "8", "--n", "500", "--replicates", "20", "--probes", "2000",
                 "--seed", "41"],
 }

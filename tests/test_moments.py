@@ -13,16 +13,14 @@ from vorlab.moments import (
     MAX_FACTORIAL_K,
     MomentBounds,
     alpha_bounds,
-    estimate_alpha,
     estimate_alpha_parallel,
-    estimate_z_moment,
     estimate_z_moment_parallel,
     z_cdf_d1,
     z_moment_bounds,
     z_moment_closed_form_d1,
 )
 from vorlab.sampling import RandomStream, sample_unit_ball_batch, uniform_ball
-from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
+from vorlab.wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, w_and_lens, wk_mc_values
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
 from oracles import sample_w_batch_reference, z_mgf_bounds
@@ -35,41 +33,31 @@ class TestAlphaClosedFormD1:
         assert 1.0 + val == pytest.approx(1.5, abs=1e-12)
 
     def test_monte_carlo_self_check(self):
-        est = estimate_alpha(1, 200_000, RandomStream(50))
+        est = estimate_alpha_parallel(1, 200_000, seed=50)
         assert abs(est.value - 1.5) <= 4 * est.stderr
 
 
 class TestEstimateAlpha:
     def test_lands_in_sane_range(self):
         for d in (1, 2, 5):
-            est = estimate_alpha(d, 50_000, RandomStream(51, d))
+            est = estimate_alpha_parallel(d, 50_000, seed=51, stream_index=d)
             assert 1.0 - 4 * est.stderr <= est.value <= 2.0 + 4 * est.stderr
             assert est.samples == 50_000
             assert est.stderr > 0.0
 
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
-            estimate_alpha(1, 1, RandomStream(0))
+            estimate_alpha_parallel(1, 1, seed=0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_never_below_one(self, seed):
         # the excess over the control is nonnegative draw by draw
-        assert estimate_alpha(20, 50, RandomStream(seed)).value >= 1.0
-
-    def test_rng_only_names_the_stream(self):
-        # (seed, stream_index) is read; the position is neither read nor advanced
-        rng = RandomStream(60, 2)
-        a = estimate_alpha(2, 1000, rng)
-        assert estimate_alpha(2, 1000, rng) == a and rng.position == 0
-        rng.random(7)
-        assert estimate_alpha(2, 1000, rng) == a
-        z = estimate_z_moment(2, 3, 20, 64, rng=rng)
-        assert estimate_z_moment(2, 3, 20, 64, rng=rng) == z and rng.position == 7
+        assert estimate_alpha_parallel(20, 50, seed=seed).value >= 1.0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_agrees_with_plain_mean(self, d):
         n = 200_000
-        est = estimate_alpha(d, n, RandomStream(57, d))
+        est = estimate_alpha_parallel(d, n, seed=57, stream_index=d)
         x = 2.0 / w_and_lens(sample_unit_ball_batch(d, n, RandomStream(58, d)))[0] ** 2
         plain, plain_se = x.mean(), x.std(ddof=1) / math.sqrt(n)
         assert abs(est.value - plain) <= 4 * math.hypot(est.stderr, plain_se)
@@ -78,14 +66,14 @@ class TestEstimateAlpha:
         # on the same draws at d=2, the per-draw variance is about 0.23 for
         # plain 2/W^2 and about 0.12 for the excess
         n = 100_000
-        est = estimate_alpha(2, n, RandomStream(59))
+        est = estimate_alpha_parallel(2, n, seed=59)
         x = 2.0 / sample_w_batch(2, n, RandomStream(59))[:, 0] ** 2
         assert est.stderr <= 0.8 * x.std(ddof=1) / math.sqrt(n)
 
     def test_memory_bounded_in_samples(self):
         tracemalloc.start()
         try:
-            est = estimate_alpha(2, 1_000_000, RandomStream(60))
+            est = estimate_alpha_parallel(2, 1_000_000, seed=60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,11 +107,12 @@ class TestEstimateAlpha:
             acc = _merge(acc, _stats(2.0 * lens * (a + w) / (w * a) ** 2))
         assert moments._alpha_sums((d, count, 71, d)) == acc
 
-    def test_parallel_single_worker_bitwise(self):
-        direct = estimate_alpha(2, 30_000, RandomStream(52, 0))
-        sharded = estimate_alpha_parallel(2, 30_000, seed=52, workers=1)
-        assert sharded.value == direct.value
-        assert sharded.stderr == direct.stderr
+    def test_shards_start_at_stream_index(self):
+        # the two shards run on streams 3 and 4 and merge in that order
+        est = estimate_alpha_parallel(2, 30_000, seed=52, workers=2, stream_index=3)
+        n, mean, m2 = _merge(*(moments._alpha_sums((2, 15_000, 52, i)) for i in (3, 4)))
+        assert (est.value, est.samples) == (1.0 + mean, n)
+        assert est.stderr == math.sqrt(m2 / (n - 1) / n)
 
     def test_parallel_reproducible_and_consistent(self):
         a = estimate_alpha_parallel(1, 40_000, seed=53, workers=3)
@@ -188,36 +177,36 @@ class TestZMomentBounds:
 
 class TestEstimateZMoment:
     def test_k1_exactly_one(self):
-        est = estimate_z_moment(5, 1, outer=100, rng=RandomStream(54))
+        est = estimate_z_moment_parallel(5, 1, outer=100, seed=54)
         assert est.value == 1.0 and est.stderr == 0.0
 
     def test_k2_matches_alpha(self):
         for d in (1, 2):
-            za = estimate_z_moment(d, 2, outer=100_000, rng=RandomStream(55, d))
-            al = estimate_alpha(d, 100_000, RandomStream(56, d))
+            za = estimate_z_moment_parallel(d, 2, outer=100_000, seed=55, stream_index=d)
+            al = estimate_alpha_parallel(d, 100_000, seed=56, stream_index=d)
             assert abs(za.value - al.value) <= 4 * math.hypot(za.stderr, al.stderr)
 
     def test_k3_d1_closed_form(self):
-        est = estimate_z_moment(1, 3, outer=4000, inner=1024, rng=RandomStream(57))
+        est = estimate_z_moment_parallel(1, 3, outer=4000, inner=1024, seed=57)
         assert abs(est.value - 3.0) <= 4 * est.stderr
 
     def test_small_cap_richardson_is_unbiased(self):
         # plug-in bias at a cap of 64 inner draws would be visible; counting
         # the top level's correction twice cancels it
-        est = estimate_z_moment(1, 3, outer=8000, inner=64, rng=RandomStream(58))
+        est = estimate_z_moment_parallel(1, 3, outer=8000, inner=64, seed=58)
         assert abs(est.value - 3.0) <= 4 * est.stderr
 
     def test_top_level_doubling_cancels_truncation_bias(self):
         # at a cap of 64 the truncated estimator without the doubled top-level
         # correction is about 8 stderr high here
-        est = estimate_z_moment(1, 4, outer=100_000, inner=64, rng=RandomStream(58, 14))
+        est = estimate_z_moment_parallel(1, 4, outer=100_000, inner=64, seed=58, stream_index=14)
         assert abs(est.value - 7.5) <= 4 * est.stderr
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_unbiased_against_d1_closed_form(self, k):
         # 3x the precision of the criterion-06 fixture (15000 draws): the
         # multilevel draws have up to 1.64x the jackknife's variance at d=1
-        est = estimate_z_moment(1, k, outer=225_000, rng=RandomStream(58, k))
+        est = estimate_z_moment_parallel(1, k, outer=225_000, seed=58, stream_index=k)
         assert abs(est.value - z_moment_closed_form_d1(k)) <= 4 * est.stderr
 
     @pytest.mark.parametrize("inner", [2, 3, 31, 32, 63, 64, 4095, 4096, 1 << 20])
@@ -236,20 +225,22 @@ class TestEstimateZMoment:
 
         monkeypatch.setattr(moments, "wk_mc_values", recording)
         monkeypatch.setattr(moments, "_POINTS_PER_CALL", 128)
-        estimate_z_moment(2, 3, outer=300, inner=256, rng=RandomStream(65))
+        estimate_z_moment_parallel(2, 3, outer=300, inner=256, seed=65)
         assert sum(n for n, _ in calls) == 300
         assert all(1 <= n and n * m <= max(128, m) for n, m in calls)
 
     def test_within_sandwich(self):
         for d, k in [(1, 3), (2, 3), (3, 4)]:
-            est = estimate_z_moment(d, k, outer=2000, inner=512, rng=RandomStream(59, k))
+            est = estimate_z_moment_parallel(d, k, outer=2000, inner=512, seed=59, stream_index=k)
             b = z_moment_bounds(d, k)
             assert b.lower - 4 * est.stderr <= est.value <= b.upper + 4 * est.stderr
 
-    def test_parallel_matches_inline(self):
-        direct = estimate_z_moment(1, 3, outer=1000, inner=256, rng=RandomStream(60, 0))
-        sharded = estimate_z_moment_parallel(1, 3, outer=1000, inner=256, seed=60, workers=1)
-        assert sharded.value == direct.value
+    def test_shards_start_at_stream_index(self):
+        est = estimate_z_moment_parallel(1, 3, outer=1000, inner=256, seed=60, workers=2,
+                                         stream_index=1)
+        n, mean, m2 = _merge(*(moments._zmoment_sums((1, 3, 500, 256, 60, i)) for i in (1, 2)))
+        assert (est.value, est.samples) == (mean, n)
+        assert est.stderr == math.sqrt(m2 / (n - 1) / n)
 
     def test_parallel_workers_reproducible(self):
         a = estimate_z_moment_parallel(1, 3, outer=600, inner=128, seed=63, workers=2)
@@ -261,20 +252,21 @@ class TestEstimateZMoment:
         a = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=2)
         b = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=2)
         assert (a.value, a.stderr, a.samples) == (b.value, b.stderr, b.samples)
+        # one worker runs the single shard in the calling process
         one = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=1)
-        inline = estimate_z_moment(2, 4, outer=400, rng=RandomStream(64))
-        assert (one.value, one.stderr, one.samples) == (inline.value, inline.stderr, 400)
+        n, mean, _ = moments._zmoment_sums((2, 4, 400, DEFAULT_INNER_SAMPLES, 64, 0))
+        assert (one.value, one.samples, n) == (mean, 400, 400)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate_z_moment(1, 2, outer=1, rng=RandomStream(0))
+            estimate_z_moment_parallel(1, 2, outer=1, seed=0)
         with pytest.raises(ValueError):
-            estimate_z_moment(1, 3, outer=10, inner=1, rng=RandomStream(0))
+            estimate_z_moment_parallel(1, 3, outer=10, inner=1, seed=0)
         with pytest.raises(ValueError):
-            estimate_z_moment(1, 3, outer=10, inner=moments.MAX_INNER_SAMPLES + 1,
-                              rng=RandomStream(0))
+            estimate_z_moment_parallel(1, 3, outer=10, inner=moments.MAX_INNER_SAMPLES + 1,
+                                       seed=0)
         with pytest.raises(OverflowError):
-            estimate_z_moment(1, 30, outer=10, rng=RandomStream(0))
+            estimate_z_moment_parallel(1, 30, outer=10, seed=0)
 
 
 def _offset_shard(args):
@@ -363,5 +355,5 @@ class TestEstimateDataclass:
     def test_fields(self):
         # one estimate type, shared with the volume estimator
         assert [f.name for f in fields(Estimate)] == ["value", "stderr", "samples"]
-        e = estimate_alpha(1, 100, RandomStream(3))
+        e = estimate_alpha_parallel(1, 100, seed=3)
         assert isinstance(e, Estimate) and e.samples == 100

@@ -117,6 +117,37 @@ class TestWorkerBound:
             _WORKER_ENTRIES[entry]()
 
 
+# arguments that every library entry checks before it starts a pool
+_CHECKED_BEFORE_POOL = {
+    "z_moment-k1-samples": lambda: moments.estimate_z_moment_parallel(2, 1, -5, workers=2),
+    "z_moment-k1-workers": lambda: moments.estimate_z_moment_parallel(2, 1, 10, workers=65),
+    "z_moment-d0": lambda: moments.estimate_z_moment_parallel(0, 3, 100, 64, seed=1, workers=2),
+    "z_moment-d436": lambda: moments.estimate_z_moment_parallel(
+        436, 3, 100, 64, seed=1, workers=2),
+    "z_moment-seed": lambda: moments.estimate_z_moment_parallel(
+        2, 3, 100, 64, seed=-1, workers=2),
+    "z_moment-stream": lambda: moments.estimate_z_moment_parallel(
+        2, 3, 100, 64, seed=1, workers=2, stream_index=-1),
+    "alpha-d0": lambda: moments.estimate_alpha_parallel(0, 100, seed=1, workers=2),
+    "alpha-d436": lambda: moments.estimate_alpha_parallel(436, 100, seed=1, workers=2),
+    "alpha-seed": lambda: moments.estimate_alpha_parallel(2, 100, seed=-1, workers=2),
+    "alpha-seed-2**64": lambda: moments.estimate_alpha_parallel(2, 100, seed=2**64, workers=2),
+    "CellExperimentConfig-seed": lambda: cellsim.CellExperimentConfig(
+        uniform_ball(2), n=10, replicates=4, probes=10, seed=-1, workers=2),
+    "DiameterExperimentConfig-seed": lambda: cellsim.DiameterExperimentConfig(
+        uniform_ball(2), n_grid=(10,), replicates=4, probes=10, seed=-1, workers=2),
+}
+
+
+class TestCheckedBeforeAnyPool:
+    @pytest.mark.parametrize("entry", sorted(_CHECKED_BEFORE_POOL))
+    def test_bad_argument_rejected(self, entry, monkeypatch):
+        monkeypatch.setattr(moments, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(cellsim, "ProcessPoolExecutor", _NoPool)
+        with pytest.raises(ValueError):
+            _CHECKED_BEFORE_POOL[entry]()
+
+
 class TestSampleUnitBall:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_inside_ball(self, d):

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from vorlab.geometry import Ball, interval_union_length, union_volume_mc
-from vorlab.moments import estimate_z_moment
+from vorlab.moments import estimate_z_moment_parallel
 from vorlab.sampling import RandomStream, sample_unit_ball_batch
 from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
 
@@ -81,7 +81,7 @@ class TestSampleWk:
     """Order-k union volumes: exact for k <= 2, mixture Monte Carlo beyond."""
 
     def test_k1_exact(self):
-        e = estimate_z_moment(3, 1, outer=10)
+        e = estimate_z_moment_parallel(3, 1, outer=10)
         assert e.value == 1.0 and e.stderr == 0.0
 
     def test_k2_exact(self):
@@ -104,10 +104,6 @@ class TestSampleWk:
         value = values.mean()
         stderr = values.std(ddof=1) / math.sqrt(values.size)
         assert 1.0 - 4 * stderr <= value <= 2.0**d + 4 * stderr
-
-    def test_requires_stream(self):
-        with pytest.raises(ValueError):
-            estimate_z_moment(1, 2, outer=10)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
