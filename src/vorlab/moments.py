@@ -7,7 +7,8 @@ alpha(d) - 1.  The k-th limiting moment is the mean of k! / W_k^k.  For
 k >= 3, where W_k itself is Monte Carlo estimated, a randomized multilevel
 estimator (Rhee and Glynn 2015; Blanchet and Glynn 2015) removes the
 plug-in bias of w -> k! / w^k, up to O(1/inner^2) for a cap of `inner`
-inner draws.
+inner draws, and subtracts the control k! / S_k^k of mean exactly 1, with
+S_k the normalized sum of the k ball volumes, which W_k tends to as d grows.
 """
 
 from __future__ import annotations
@@ -154,15 +155,16 @@ def _levels(inner: int) -> tuple[int, np.ndarray]:
 
 
 def _zmoment_sums(args) -> tuple[int, float, float]:
-    """Single-term randomized multilevel estimate of E[k! / W_k^k].
+    """Single-term randomized multilevel estimate of E[k! / W_k^k] - 1.
 
     Each outer draw picks a level l with one uniform and runs
     m = m0 * 2^(l+1) inner draws for one configuration.  With f(w) = k!/w^k
     and f_n the value of f at the mean of n of those draws, its value is
-    f_m0 + (f_m - (f of the first half + f of the second half) / 2) / P(l),
-    whose mean telescopes to E[f_mL] at the top level L.  The top level's
-    correction counts twice, which cancels the c/m bias of E[f_mL] and leaves
-    O(1/m_L^2).
+    f_m0 - f(S_k) + (f_m - (f of the first half + f of the second half) / 2)
+    / P(l), whose mean telescopes to E[f_mL] - 1 at the top level L: the
+    control f(S_k), at the configuration's sum of ball volumes, has mean
+    exactly 1.  The top level's correction counts twice, which cancels the
+    c/m bias of E[f_mL] and leaves O(1/m_L^2).
     """
     d, k, outer, inner, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
@@ -187,11 +189,12 @@ def _zmoment_sums(args) -> tuple[int, float, float]:
             rows = np.flatnonzero(level == lev)
             step = max(1, _POINTS_PER_CALL // m)
             for part in (rows[i : i + step] for i in range(0, rows.size, step)):
-                vals = wk_mc_values(d, k, part.size, m, rng)
+                s = np.empty(part.size)
+                vals = wk_mc_values(d, k, part.size, m, rng, out=s)
                 first = vals[:, : m // 2].sum(axis=1)
                 second = vals[:, m // 2 :].sum(axis=1)
                 delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
-                theta[part] = f(vals[:, :m0].sum(axis=1), m0) + w * delta
+                theta[part] = f(vals[:, :m0].sum(axis=1), m0) - f(s, 1) + w * delta
         acc = _merge(acc, _stats(theta))
     return acc
 
@@ -218,8 +221,8 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
         fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
     with nullcontext(pool) if pool is not None else shard_pool(workers, int(outer)) as pool:
         est = _estimate(fn, args, pool)
-    # the k = 2 shards average the excess over a control of mean 1
-    return est if k > 2 else replace(est, value=1.0 + est.value)
+    # every shard averages the excess over a control of mean exactly 1
+    return replace(est, value=1.0 + est.value)
 
 
 def estimate_z_moment_parallel(
@@ -229,13 +232,15 @@ def estimate_z_moment_parallel(
     """Mean of k! / W_k^k over `outer` draws of the order-k union volume.
 
     k = 1 is exactly 1; k = 2 uses the exact two-ball sampler; k >= 3 uses a
-    randomized multilevel estimator over mixture-estimator draws.  `inner`
-    (2..MAX_INNER_SAMPLES) caps the inner draws of one configuration; the
-    estimator spends about 66 of them per outer draw at the default cap, and
-    its bias is O(1/inner^2).  The standard error covers both the outer and
-    the inner variation.  Streams and their merge are those of
-    estimate_alpha_parallel.  `pool`, from shard_pool(workers, outer), lets
-    the estimates of several k share one process pool.
+    randomized multilevel estimator over mixture-estimator draws, less the
+    control k! / S_k^k of mean exactly 1 (S_k is the normalized sum of the
+    k ball volumes), so its error shrinks as W_k concentrates on S_k with
+    growing d.  `inner` (2..MAX_INNER_SAMPLES) caps the inner draws of one
+    configuration; the estimator spends about 66 of them per outer draw at
+    the default cap, and its bias is O(1/inner^2).  The standard error covers
+    both the outer and the inner variation.  Streams and their merge are
+    those of estimate_alpha_parallel.  `pool`, from shard_pool(workers,
+    outer), lets the estimates of several k share one process pool.
     """
     return _z_moment(d, k, outer, inner, seed, stream_index, workers, pool)
 

@@ -69,13 +69,15 @@ def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
 
 
 def wk_mc_values(
-    d: int, k: int, n: int, inner_samples: int, rng: RandomStream
+    d: int, k: int, n: int, inner_samples: int, rng: RandomStream, out=None
 ) -> np.ndarray:
     """Normalized per-draw union-volume values for n order-k configurations.
 
     Returns shape (n, inner_samples); each row's mean estimates that
-    configuration's normalized union volume.  Requires k >= 3 (lower orders
-    are exact and never need inner sampling).
+    configuration's normalized union volume.  When given, `out` (shape (n,))
+    receives each configuration's normalized sum of ball volumes
+    S_k = 1 + sum |y_i|^d >= W_k, at no extra draws.  Requires k >= 3 (lower
+    orders are exact and never need inner sampling).
     """
     if k < 3:
         raise ValueError("wk_mc_values is for k >= 3; lower orders are exact")
@@ -87,6 +89,8 @@ def wk_mc_values(
     centers[:, 1:] = sample_unit_ball_batch(d, n * (k - 1), rng).reshape(n, k - 1, d)
     radii = np.ones((n, k))
     radii[:, 1:] = np.sqrt(row_sq_norms(centers[:, 1:]))
+    if out is not None:
+        np.sum(radii**d, axis=1, out=out)
     v = unit_ball_volume(d)
     return union_volume_mc_values(centers, radii, inner_samples, rng) / v
 

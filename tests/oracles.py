@@ -15,8 +15,10 @@ from scipy import integrate
 from scipy.special import gammainc, gammaln
 from scipy.stats import chi2
 
-from vorlab.geometry import row_sq_norms, unit_ball_volume
-from vorlab.moments import MomentBounds
+from vorlab.geometry import _NO_STATS, _merge, _stats, row_sq_norms, unit_ball_volume
+from vorlab.moments import _OUTER_CHUNK, _POINTS_PER_CALL, MomentBounds, _factorial, _levels
+from vorlab.sampling import RandomStream
+from vorlab.wstat import wk_mc_values
 
 
 def ball_volume_gamma(d: int, r: float = 1.0) -> float:
@@ -338,3 +340,40 @@ def sample_w_batch_reference(d: int, n: int, rng) -> np.ndarray:
     v = unit_ball_volume(d)
     inter = ball_intersection_volumes(d, 1.0, ny, dist)
     return np.column_stack(((v + (v * ny**d - inter)) / v, inter / v))
+
+
+def zmoment_sums_plain(args) -> tuple[int, float, float]:
+    """The multilevel estimate of E[k! / W_k^k] without a control, copied
+    verbatim from the library as it was before the control k! / S_k^k was
+    subtracted: (count, mean, M2) of the outer draws, on the same draws as
+    moments._zmoment_sums for the same args."""
+    d, k, outer, inner, seed, stream_index = args
+    rng = RandomStream(seed, stream_index)
+    kf = _factorial(k)
+    m0, p = _levels(inner)
+    weight = 1.0 / p
+    weight[-1] *= 2.0
+    cum = np.cumsum(p)
+
+    def f(total, size):
+        return kf / (total / size) ** k
+
+    acc = _NO_STATS
+    left = outer
+    while left:
+        c = min(_OUTER_CHUNK, left)
+        left -= c
+        level = np.minimum(np.searchsorted(cum, rng.random(c), side="right"), p.size - 1)
+        theta = np.empty(c)
+        for lev, w in enumerate(weight):
+            m = m0 << (lev + 1)
+            rows = np.flatnonzero(level == lev)
+            step = max(1, _POINTS_PER_CALL // m)
+            for part in (rows[i : i + step] for i in range(0, rows.size, step)):
+                vals = wk_mc_values(d, k, part.size, m, rng)
+                first = vals[:, : m // 2].sum(axis=1)
+                second = vals[:, m // 2 :].sum(axis=1)
+                delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
+                theta[part] = f(vals[:, :m0].sum(axis=1), m0) + w * delta
+        acc = _merge(acc, _stats(theta))
+    return acc

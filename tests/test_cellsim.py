@@ -437,10 +437,11 @@ class TestConeDirections:
                                            (4, "random")])
     def test_greedy_cover_matches_quadratic_oracle(self, d, points):
         if points == "sphere":
-            # the oracle recounts a (4096, 4096) matrix per pick, most of a
-            # minute at d = 5, where test_shipped_covers_match_builder already
-            # pins the 4096-point cover bit for bit
-            cand = cone_cover._sphere_lds(d, 1024 if d == 5 else 4096, 0)
+            # the oracle recounts a (4096, 4096) matrix per pick, about 9 s at
+            # d = 4 and most of a minute at d = 5, where
+            # test_shipped_covers_match_builder already pins the 4096-point
+            # cover bit for bit
+            cand = cone_cover._sphere_lds(d, 4096 if d == 3 else 1024, 0)
         else:
             cand = np.random.default_rng(7).standard_normal((3000, d))
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)

@@ -23,7 +23,7 @@ from vorlab.sampling import RandomStream, sample_unit_ball_batch, uniform_ball
 from vorlab.wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, w_and_lens, wk_mc_values
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
-from oracles import sample_w_batch_reference, z_mgf_bounds
+from oracles import sample_w_batch_reference, z_mgf_bounds, zmoment_sums_plain
 
 
 class TestAlphaClosedFormD1:
@@ -219,9 +219,9 @@ class TestEstimateZMoment:
     def test_level_calls_bounded(self, monkeypatch):
         calls = []
 
-        def recording(d, k, n, m, rng):
+        def recording(d, k, n, m, rng, **kwargs):
             calls.append((n, m))
-            return wk_mc_values(d, k, n, m, rng)
+            return wk_mc_values(d, k, n, m, rng, **kwargs)
 
         monkeypatch.setattr(moments, "wk_mc_values", recording)
         monkeypatch.setattr(moments, "_POINTS_PER_CALL", 128)
@@ -239,7 +239,7 @@ class TestEstimateZMoment:
         est = estimate_z_moment_parallel(1, 3, outer=1000, inner=256, seed=60, workers=2,
                                          stream_index=1)
         n, mean, m2 = _merge(*(moments._zmoment_sums((1, 3, 500, 256, 60, i)) for i in (1, 2)))
-        assert (est.value, est.samples) == (mean, n)
+        assert (est.value, est.samples) == (1.0 + mean, n)
         assert est.stderr == math.sqrt(m2 / (n - 1) / n)
 
     def test_parallel_workers_reproducible(self):
@@ -255,7 +255,7 @@ class TestEstimateZMoment:
         # one worker runs the single shard in the calling process
         one = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=1)
         n, mean, _ = moments._zmoment_sums((2, 4, 400, DEFAULT_INNER_SAMPLES, 64, 0))
-        assert (one.value, one.samples, n) == (mean, 400, 400)
+        assert (one.value, one.samples, n) == (1.0 + mean, 400, 400)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -267,6 +267,49 @@ class TestEstimateZMoment:
                                        seed=0)
         with pytest.raises(OverflowError):
             estimate_z_moment_parallel(1, 30, outer=10, seed=0)
+
+
+def _sums_stderr(sums):
+    n, _, m2 = sums
+    return math.sqrt(m2 / (n - 1) / n)
+
+
+class TestMomentControl:
+    """The control k! / S_k^k of the k >= 3 estimator, against the plain
+    estimator (tests/oracles.py) on the same draws."""
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_control_mean_is_one(self, d, k):
+        s = np.empty(20_000)
+        wk_mc_values(d, k, s.size, 1, RandomStream(66, 10 * d + k), out=s)
+        c = math.factorial(k) / s**k
+        assert abs(c.mean() - 1.0) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
+
+    def test_out_keeps_the_values_and_draws(self):
+        a, b = RandomStream(67), RandomStream(67)
+        s = np.full(40, np.nan)
+        plain = wk_mc_values(3, 4, 40, 64, a)
+        assert np.array_equal(wk_mc_values(3, 4, 40, 64, b, out=s), plain)
+        assert a.random() == b.random()
+        assert np.all((s >= 1.0) & (s <= 4.0))
+        # W_k never exceeds the sum of the ball volumes
+        assert np.all(plain.mean(axis=1) <= s * (1 + 1e-12))
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_cuts_the_stderr_at_d8(self, seed):
+        # the variance falls about 22x here, a stderr ratio near 0.21
+        args = (8, 3, 4000, DEFAULT_INNER_SAMPLES, seed, 1)
+        assert _sums_stderr(moments._zmoment_sums(args)) <= 0.3 * _sums_stderr(
+            zmoment_sums_plain(args))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_agrees_with_plain_at_d2(self, k):
+        args = (2, k, 4000, DEFAULT_INNER_SAMPLES, 68, k)
+        new, plain = moments._zmoment_sums(args), zmoment_sums_plain(args)
+        assert new[0] == plain[0] == 4000
+        assert abs(1.0 + new[1] - plain[1]) <= 4 * math.hypot(_sums_stderr(new),
+                                                              _sums_stderr(plain))
 
 
 def _offset_shard(args):
