@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import as_point, check_dim, row_sq_norms, unit_ball_volume
+from .geometry import Estimate, _stats, as_point, check_dim, row_sq_norms, unit_ball_volume
 from .sampling import DensityModel, RandomStream, check_seed, sample_unit_ball_batch, shard_ranges
 
 __all__ = [
@@ -368,7 +368,6 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
 
     moments: dict[int, float] = {}
     stderrs: dict[int, float] = {}
-    R = cfg.replicates
     for k in range(1, cfg.k_max + 1):
         if cfg.measure_mode == "probe":
             per = float(cfg.n) ** k * _falling(values, k) / _falling(
@@ -376,11 +375,11 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
             )
         else:
             per = scaled**k
-        moments[k] = float(per.mean())
-        stderrs[k] = float(per.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+        est = Estimate.of(_stats(per))
+        moments[k], stderrs[k] = est.value, est.stderr
 
     return CellExperimentResult(
-        replicates=R, scaled_measures=scaled, hits=hits, empirical_moments=moments,
+        replicates=cfg.replicates, scaled_measures=scaled, hits=hits, empirical_moments=moments,
         moment_stderrs=stderrs, ecdf=np.sort(scaled), config=cfg,
     )
 

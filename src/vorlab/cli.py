@@ -203,9 +203,10 @@ def _experiment(cls, config: ExperimentConfig, **keys):
         raise ConfigError(f"line 0: {e}") from None
 
 
-def _row(config: ExperimentConfig, est, bounds, samples, elapsed, k=None, n=None) -> ResultRow:
-    """One CSV row: est is (estimate, stderr), bounds is (lower, upper)."""
-    return ResultRow(config.command, config.dim, k, n, *est, *bounds, config.seed, samples, elapsed)
+def _row(config: ExperimentConfig, est, bounds, elapsed, k=None, n=None) -> ResultRow:
+    """One CSV row: est is a geometry.Estimate, bounds is (lower, upper)."""
+    return ResultRow(config.command, config.dim, k, n, est.value, est.stderr, *bounds,
+                     config.seed, est.samples, elapsed)
 
 
 def _ms_since(t0: float) -> float:
@@ -217,7 +218,7 @@ def _run_alpha(config: ExperimentConfig) -> list[ResultRow]:
     est = moments.estimate_alpha_parallel(config.dim, config.samples, config.seed, config.workers)
     elapsed = _ms_since(t0)
     b = moments.alpha_bounds(config.dim)
-    return [_row(config, (est.value, est.stderr), (b.lower, b.upper), est.samples, elapsed)]
+    return [_row(config, est, (b.lower, b.upper), elapsed)]
 
 
 def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
@@ -232,8 +233,7 @@ def _run_zmoments(config: ExperimentConfig) -> list[ResultRow]:
             )
             elapsed = _ms_since(t0)
             b = moments.z_moment_bounds(config.dim, k)
-            rows.append(_row(config, (est.value, est.stderr), (b.lower, b.upper),
-                             est.samples, elapsed, k=k))
+            rows.append(_row(config, est, (b.lower, b.upper), elapsed, k=k))
     return rows
 
 
@@ -246,8 +246,9 @@ def _run_cell(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for k in range(1, config.k_max + 1):
         b = moments.z_moment_bounds(config.dim, k)
-        est = (result.empirical_moments[k], result.moment_stderrs[k])
-        rows.append(_row(config, est, (b.lower, b.upper), config.replicates, elapsed, k, config.n))
+        est = geometry.Estimate(result.empirical_moments[k], result.moment_stderrs[k],
+                                config.replicates)
+        rows.append(_row(config, est, (b.lower, b.upper), elapsed, k, config.n))
     return rows
 
 
@@ -260,15 +261,9 @@ def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
     elapsed = _ms_since(t0)
     rows = []
     for n in config.n_grid:
-        ups = result.scaled_upper[n]
-        mean = float(np.mean(ups))
-        if math.isinf(mean):
-            stderr = math.inf  # np.std of infinite values is nan
-        else:
-            stderr = float(np.std(ups, ddof=1) / math.sqrt(len(ups))) if len(ups) > 1 else 0.0
+        est = geometry.Estimate.of(geometry._stats(result.scaled_upper[n]))
         # the medians of the scaled lower and upper estimates
-        rows.append(_row(config, (mean, stderr), result.quantiles[n][0.5], config.replicates,
-                         elapsed, n=n))
+        rows.append(_row(config, est, result.quantiles[n][0.5], elapsed, n=n))
     return rows
 
 
@@ -290,7 +285,7 @@ def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
             oracle = geometry.two_ball_union_volume(*balls)
         mc = geometry.union_volume_mc(balls, config.samples, rng)
         bounds = (oracle - 4.0 * mc.stderr, oracle + 4.0 * mc.stderr)
-        rows.append(_row(config, (mc.value, mc.stderr), bounds, mc.samples, _ms_since(t0), k=i))
+        rows.append(_row(config, mc, bounds, _ms_since(t0), k=i))
     return rows
 
 

@@ -127,6 +127,15 @@ class Estimate:
     stderr: float
     samples: int
 
+    @classmethod
+    def of(cls, stats) -> Estimate:
+        """The mean of a sample given as its (count, mean, M2), with numpy's
+        std(ddof=1) / sqrt(count) as its standard error, bit for bit: 0 for
+        one value, and inf when the mean is infinite."""
+        n, mean, m2 = stats
+        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+        return cls(mean, math.inf if math.isinf(mean) else stderr, n)
+
 
 # (count, mean, M2) of no values; M2 is the sum of squared deviations
 _NO_STATS = (0, 0.0, 0.0)
@@ -134,11 +143,12 @@ _NO_STATS = (0, 0.0, 0.0)
 
 def _stats(x: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, M2) of the values x; the mean of a constant sample is
-    its value exactly."""
+    its value exactly, and M2 may be nan when the mean is infinite."""
     if np.all(x == x[0]):
         return x.size, float(x[0]), 0.0
     mean = float(x.mean())
-    return x.size, mean, float(np.square(x - mean).sum())
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return x.size, mean, float(np.square(x - mean).sum())
 
 
 def _merge(a, b) -> tuple[int, float, float]:
@@ -286,8 +296,9 @@ def two_ball_union_volume(a: Ball, b: Ball) -> float:
     return hi + (lo - inter)
 
 
-# mixture draws per union_volume_mc_values call of union_volume_mc
+# draws, and their coordinates, per union_volume_mc_values call of union_volume_mc
 _MC_CHUNK = 1 << 16
+_MC_COORDS = 1 << 18
 
 
 def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int, rng) -> np.ndarray:
@@ -346,7 +357,7 @@ def union_volume_mc(balls, samples: int, rng) -> Estimate:
     ----------
     balls : sequence of Ball, all of the same dimension, nonempty
     samples : number of Monte Carlo draws (>= 1), taken in chunks of at most
-        _MC_CHUNK, so memory does not grow with it
+        _MC_CHUNK draws and _MC_COORDS coordinates, so memory stays bounded
     rng : random stream owned by the caller
 
     Returns the estimate with its sample standard error; constant draws (a
@@ -366,14 +377,12 @@ def union_volume_mc(balls, samples: int, rng) -> Estimate:
 
     centers = np.stack([b.center for b in balls])[None, :, :]
     radii = np.array([b.radius for b in balls])[None, :]
+    chunk = min(_MC_CHUNK, _MC_COORDS // d)
     acc = _NO_STATS
-    for start in range(0, m, _MC_CHUNK):
-        values = union_volume_mc_values(centers, radii, min(_MC_CHUNK, m - start), rng)[0]
+    for start in range(0, m, chunk):
+        values = union_volume_mc_values(centers, radii, min(chunk, m - start), rng)[0]
         acc = _merge(acc, _stats(values))
-    _, value, m2 = acc
-    # numpy's std(ddof=1) / sqrt(m), bit for bit, on a single chunk
-    stderr = math.sqrt(m2 / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
-    return Estimate(value=value, stderr=stderr, samples=m)
+    return Estimate.of(acc)
 
 
 def interval_union_length(intervals) -> float:

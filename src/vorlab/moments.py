@@ -51,8 +51,9 @@ _OUTER_CHUNK = 1 << 20
 # the multilevel estimator's base inner sample size; level l runs
 # _M0 * 2^(l+1) inner draws and is drawn with probability ∝ 2^(-1.5 l)
 _M0 = 16
-# mixture points (configurations x inner draws) per wk_mc_values call
+# mixture points (configurations x inner draws), and their coordinates, per wk_mc_values call
 _POINTS_PER_CALL = 1 << 21
+_COORDS_PER_CALL = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -83,15 +84,6 @@ def shard_pool(workers: int, samples: int):
     """
     size = len(shard_ranges(samples, workers))
     return ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext()
-
-
-def _estimate(fn, args, pool) -> Estimate:
-    """Run fn on every shard, in the pool when there is one, and merge the
-    shards' (count, mean, M2) in stream order."""
-    parts = [fn(a) for a in args] if pool is None else list(pool.map(fn, args))
-    n, mean, m2 = reduce(_merge, parts, _NO_STATS)
-    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return Estimate(value=mean, stderr=stderr, samples=n)
 
 
 def _alpha_sums(args) -> tuple[int, float, float]:
@@ -187,7 +179,7 @@ def _zmoment_sums(args) -> tuple[int, float, float]:
         for lev, w in enumerate(weight):
             m = m0 << (lev + 1)
             rows = np.flatnonzero(level == lev)
-            step = max(1, _POINTS_PER_CALL // m)
+            step = max(1, min(_POINTS_PER_CALL, _COORDS_PER_CALL // d) // m)
             for part in (rows[i : i + step] for i in range(0, rows.size, step)):
                 s = np.empty(part.size)
                 vals = wk_mc_values(d, k, part.size, m, rng, out=s)
@@ -219,8 +211,10 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
         fn, args = _alpha_sums, [(d, len(r), seed, i) for i, r in shards]
     else:
         fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
+    # every shard's (count, mean, M2), merged in stream order
     with nullcontext(pool) if pool is not None else shard_pool(workers, int(outer)) as pool:
-        est = _estimate(fn, args, pool)
+        parts = [fn(a) for a in args] if pool is None else list(pool.map(fn, args))
+    est = Estimate.of(reduce(_merge, parts, _NO_STATS))
     # every shard averages the excess over a control of mean exactly 1
     return replace(est, value=1.0 + est.value)
 

@@ -103,45 +103,45 @@ class DensityModel:
     """Sampleable density with a support test, its density and the
     density's supremum over a ball.
 
-    kind is one of "uniform-ball" (radius), "gaussian" (standard normal),
-    "uniform-cube" (side, centered at the origin); the cube has no
-    ball-measure oracle.  Models are immutable and safe to share across
-    workers.
+    kind is one of "uniform-ball" (scale is the radius), "gaussian"
+    (standard normal, scale 1), "uniform-cube" (scale is the side, centered
+    at the origin); the cube has no ball-measure oracle.  Models are
+    immutable and safe to share across workers.
     """
 
     kind: str
     dimension: int
-    radius: float = 1.0
-    side: float = 1.0
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("uniform-ball", "gaussian", "uniform-cube"):
             raise ValueError(f"unknown density kind {self.kind!r}")
         check_dim(self.dimension)
+        if self.kind == "gaussian" and self.scale != 1.0:
+            raise ValueError("the gaussian density is standard: its scale must be 1")
         # squared distances at these scales stay normal doubles
-        if self.kind == "uniform-ball" and not 1e-100 <= self.radius <= 1e100:
-            raise ValueError("uniform-ball radius must be in [1e-100, 1e100]")
-        if self.kind == "uniform-cube" and not 1e-100 <= self.side <= 1e100:
-            raise ValueError("uniform-cube side must be in [1e-100, 1e100]")
+        if not 1e-100 <= self.scale <= 1e100:
+            name = "radius" if self.kind == "uniform-ball" else "side"
+            raise ValueError(f"{self.kind} {name} must be in [1e-100, 1e100]")
 
     def sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """Draw size points with this law; shape (size, d)."""
         n = int(size)
         d = self.dimension
         if self.kind == "uniform-ball":
-            return self.radius * sample_unit_ball_batch(d, n, rng)
+            return self.scale * sample_unit_ball_batch(d, n, rng)
         if self.kind == "gaussian":
             return rng.standard_normal((n, d))
-        return self.side * (rng.random((n, d)) - 0.5)
+        return self.scale * (rng.random((n, d)) - 0.5)
 
     def support_contains(self, x) -> bool:
         x = as_point(x)
         if x.size != self.dimension:
             raise ValueError("point dimension does not match the model")
         if self.kind == "uniform-ball":
-            return bool(np.linalg.norm(x) <= self.radius)
+            return bool(np.linalg.norm(x) <= self.scale)
         if self.kind == "uniform-cube":
-            return bool(np.all(np.abs(x) <= self.side / 2))
+            return bool(np.all(np.abs(x) <= self.scale / 2))
         return True
 
     def _peak(self) -> float:
@@ -149,20 +149,17 @@ class DensityModel:
         d = self.dimension
         if self.kind == "gaussian":
             return (2.0 * math.pi) ** (-d / 2.0)
-        if self.kind == "uniform-ball":
-            scale, unit = self.radius, unit_ball_volume(d)
-        else:
-            scale, unit = self.side, 1.0
+        unit = unit_ball_volume(d) if self.kind == "uniform-ball" else 1.0
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            return float(1.0 / (unit * np.float64(scale) ** d))
+            return float(1.0 / (unit * np.float64(self.scale) ** d))
 
     def pdf(self, points) -> np.ndarray:
         """The density at each row of an (m, d) array of points."""
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         if self.kind == "uniform-ball":
-            inside = np.sqrt(row_sq_norms(pts)) <= self.radius
+            inside = np.sqrt(row_sq_norms(pts)) <= self.scale
         elif self.kind == "uniform-cube":
-            inside = np.all(np.abs(pts) <= self.side / 2, axis=1)
+            inside = np.all(np.abs(pts) <= self.scale / 2, axis=1)
         else:
             return self._peak() * np.exp(-0.5 * row_sq_norms(pts))
         return np.where(inside, self._peak(), 0.0)
@@ -175,14 +172,14 @@ class DensityModel:
         if not radius >= 0:
             raise ValueError("radius must be >= 0")
         if self.kind == "uniform-cube":
-            outside = np.maximum(np.abs(center) - self.side / 2, 0.0)
+            outside = np.maximum(np.abs(center) - self.scale / 2, 0.0)
             meets = float(np.linalg.norm(outside)) <= radius
         else:
             # distance from the origin to the ball
             gap = max(float(np.linalg.norm(center)) - radius, 0.0)
             if self.kind == "gaussian":
                 return self._peak() * math.exp(-0.5 * gap * gap)
-            meets = gap <= self.radius
+            meets = gap <= self.scale
         return self._peak() if meets else 0.0
 
     def ball_measure_batch(self, center, radii) -> np.ndarray:
@@ -196,10 +193,10 @@ class DensityModel:
             raise ValueError("radius must be >= 0")
         d = self.dimension
         if self.kind == "uniform-ball":
-            support = unit_ball_volume(d) * self.radius**d
+            support = unit_ball_volume(d) * self.scale**d
             dist = np.linalg.norm(center)
             finite = np.where(np.isfinite(radii), radii, 0.0)
-            vals = ball_intersection_volumes(d, self.radius, finite, dist) / support
+            vals = ball_intersection_volumes(d, self.scale, finite, dist) / support
             return np.where(np.isfinite(radii), vals, 1.0)
         if self.kind == "gaussian":
             from scipy.special import gammainc, gammaln, xlogy
@@ -227,13 +224,13 @@ class DensityModel:
             from scipy.special import ndtr
 
             return float(ndtr(hi) - ndtr(lo))
-        half = self.radius if self.kind == "uniform-ball" else self.side / 2
+        half = self.scale if self.kind == "uniform-ball" else self.scale / 2
         width = min(hi, half) - max(lo, -half)
         return max(width, 0.0) / (2 * half)
 
 
 def uniform_ball(dimension: int, radius: float = 1.0) -> DensityModel:
-    return DensityModel(kind="uniform-ball", dimension=dimension, radius=radius)
+    return DensityModel(kind="uniform-ball", dimension=dimension, scale=radius)
 
 
 def gaussian(dimension: int) -> DensityModel:
@@ -241,7 +238,7 @@ def gaussian(dimension: int) -> DensityModel:
 
 
 def uniform_cube(dimension: int, side: float = 1.0) -> DensityModel:
-    return DensityModel(kind="uniform-cube", dimension=dimension, side=side)
+    return DensityModel(kind="uniform-cube", dimension=dimension, scale=side)
 
 
 # the scaled density kinds of the spec grammar, by (kind, scale key)

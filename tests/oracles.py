@@ -16,7 +16,9 @@ from scipy.special import gammainc, gammaln
 from scipy.stats import chi2
 
 from vorlab.geometry import _NO_STATS, _merge, _stats, row_sq_norms, unit_ball_volume
-from vorlab.moments import _OUTER_CHUNK, _POINTS_PER_CALL, MomentBounds, _factorial, _levels
+from vorlab.moments import (
+    _COORDS_PER_CALL, _OUTER_CHUNK, _POINTS_PER_CALL, MomentBounds, _factorial, _levels,
+)
 from vorlab.sampling import RandomStream
 from vorlab.wstat import wk_mc_values
 
@@ -368,7 +370,7 @@ def zmoment_sums_plain(args) -> tuple[int, float, float]:
         for lev, w in enumerate(weight):
             m = m0 << (lev + 1)
             rows = np.flatnonzero(level == lev)
-            step = max(1, _POINTS_PER_CALL // m)
+            step = max(1, min(_POINTS_PER_CALL, _COORDS_PER_CALL // d) // m)
             for part in (rows[i : i + step] for i in range(0, rows.size, step)):
                 vals = wk_mc_values(d, k, part.size, m, rng)
                 first = vals[:, : m // 2].sum(axis=1)

@@ -95,7 +95,7 @@ class TestParseConfig:
         from vorlab.sampling import parse_density
 
         model = parse_density(cfg.density, cfg.dim)
-        assert model.kind == "uniform-ball" and model.radius == 1.0
+        assert model.kind == "uniform-ball" and model.scale == 1.0
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="command"):

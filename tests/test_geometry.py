@@ -11,6 +11,8 @@ from vorlab import geometry
 from vorlab.geometry import (
     MAX_DIM,
     Ball,
+    Estimate,
+    _stats,
     ball_intersection_volume,
     ball_intersection_volumes,
     interval_union_length,
@@ -321,6 +323,32 @@ class TestTwoBallUnion:
             assert max(a.volume, b.volume) - 1e-12 <= u <= a.volume + b.volume + 1e-12
 
 
+class TestEstimateOf:
+    """The one rule from a sample's (count, mean, M2) to an estimate."""
+
+    def test_numpy_mean_and_stderr_bit_for_bit(self):
+        x = 5.0 + 3.0 * np.random.default_rng(15).standard_normal(1001)
+        est = Estimate.of(_stats(x))
+        assert est == Estimate(float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)), x.size)
+
+    def test_one_value(self):
+        assert Estimate.of(_stats(np.array([2.5]))) == Estimate(2.5, 0.0, 1)
+
+    def test_constant_sample_is_exact(self):
+        # numpy's mean of seven 0.1s is not 0.1
+        x = np.full(7, 0.1)
+        assert float(x.mean()) != 0.1
+        assert Estimate.of(_stats(x)) == Estimate(0.1, 0.0, 7)
+
+    @pytest.mark.parametrize("x", [[math.inf], [math.inf] * 3, [1.0, math.inf, 2.0],
+                                   [math.inf, 0.5]])
+    def test_infinite_mean_has_infinite_stderr(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = Estimate.of(_stats(np.array(x)))
+        assert est == Estimate(math.inf, math.inf, len(x))
+
+
 class TestUnionVolumeMC:
     def test_single_ball_exact_zero_variance(self):
         b = Ball([0.3, -0.2], 1.7)
@@ -385,10 +413,26 @@ class TestUnionVolumeMC:
         assert est.stderr == float(values.std(ddof=1) / math.sqrt(m))
 
     def test_constant_draws_exact_across_chunks(self):
-        b = Ball([0.3, -0.2, 0.1], 1.3)
-        m = 3 * geometry._MC_CHUNK + 5
-        est = union_volume_mc([b], m, RandomStream(11))
-        assert (est.value, est.stderr, est.samples) == (b.volume, 0.0, m)
+        for d in (3, 20, 200):
+            b = Ball(np.linspace(-0.2, 0.3, d), 1.3)
+            m = 3 * min(geometry._MC_CHUNK, geometry._MC_COORDS // d) + 5
+            est = union_volume_mc([b], m, RandomStream(11))
+            assert (est.value, est.stderr, est.samples) == (b.volume, 0.0, m)
+
+    @pytest.mark.parametrize("d", [2, 4, 20, 200])
+    def test_chunks_bound_draws_and_coordinates(self, monkeypatch, d):
+        # up to d = 4 a chunk is _MC_CHUNK draws; above, _MC_COORDS coordinates
+        calls = []
+
+        def recording(centers, radii, samples, rng):
+            calls.append(samples)
+            return union_volume_mc_values(centers, radii, samples, rng)
+
+        monkeypatch.setattr(geometry, "union_volume_mc_values", recording)
+        balls = [Ball(np.zeros(d), 1.0), Ball(np.full(d, 0.5 / math.sqrt(d)), 0.8)]
+        union_volume_mc(balls, 70_000, RandomStream(13))
+        chunk = geometry._MC_CHUNK if d <= 4 else geometry._MC_COORDS // d
+        assert calls == [chunk] * (70_000 // chunk) + [70_000 % chunk] * (70_000 % chunk > 0)
 
     def test_memory_bounded_in_samples(self):
         # one call for all 1e6 draws would hold about 96 bytes per draw
@@ -401,6 +445,18 @@ class TestUnionVolumeMC:
             tracemalloc.stop()
         assert peak < 30e6
         assert est.samples == 1_000_000 and est.stderr > 0.0
+
+    def test_memory_bounded_in_dimension(self):
+        # at d = 200 one chunk of _MC_CHUNK draws would hold 105 MB of points
+        balls = [Ball(np.zeros(200), 1.0), Ball(np.full(200, 0.01), 1.0)]
+        tracemalloc.start()
+        try:
+            est = union_volume_mc(balls, 1 << 16, RandomStream(14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+        assert est.samples == 1 << 16 and est.stderr > 0.0
 
     def test_errors(self):
         with pytest.raises(ValueError):

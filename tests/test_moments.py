@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import fields
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestEstimateAlpha:
         est = estimate_alpha_parallel(2, 30_000, seed=52, workers=2, stream_index=3)
         n, mean, m2 = _merge(*(moments._alpha_sums((2, 15_000, 52, i)) for i in (3, 4)))
         assert (est.value, est.samples) == (1.0 + mean, n)
-        assert est.stderr == math.sqrt(m2 / (n - 1) / n)
+        assert est.stderr == Estimate.of((n, mean, m2)).stderr
 
     def test_parallel_reproducible_and_consistent(self):
         a = estimate_alpha_parallel(1, 40_000, seed=53, workers=3)
@@ -217,6 +218,7 @@ class TestEstimateZMoment:
         assert p.sum() == pytest.approx(1.0, abs=1e-15) and np.all(np.diff(p) < 0)
 
     def test_level_calls_bounded(self, monkeypatch):
+        # the points cap binds at d = 2, the coordinates cap at d = 20 and 200
         calls = []
 
         def recording(d, k, n, m, rng, **kwargs):
@@ -225,9 +227,13 @@ class TestEstimateZMoment:
 
         monkeypatch.setattr(moments, "wk_mc_values", recording)
         monkeypatch.setattr(moments, "_POINTS_PER_CALL", 128)
-        estimate_z_moment_parallel(2, 3, outer=300, inner=256, seed=65)
-        assert sum(n for n, _ in calls) == 300
-        assert all(1 <= n and n * m <= max(128, m) for n, m in calls)
+        monkeypatch.setattr(moments, "_COORDS_PER_CALL", 1280)
+        for d in (2, 20, 200):
+            calls.clear()
+            estimate_z_moment_parallel(d, 3, outer=300, inner=256, seed=65)
+            assert sum(n for n, _ in calls) == 300
+            assert all(1 <= n and n * m <= max(128, m) for n, m in calls)
+            assert all(n * m * d <= max(1280, m * d) for n, m in calls)
 
     def test_within_sandwich(self):
         for d, k in [(1, 3), (2, 3), (3, 4)]:
@@ -240,7 +246,7 @@ class TestEstimateZMoment:
                                          stream_index=1)
         n, mean, m2 = _merge(*(moments._zmoment_sums((1, 3, 500, 256, 60, i)) for i in (1, 2)))
         assert (est.value, est.samples) == (1.0 + mean, n)
-        assert est.stderr == math.sqrt(m2 / (n - 1) / n)
+        assert est.stderr == Estimate.of((n, mean, m2)).stderr
 
     def test_parallel_workers_reproducible(self):
         a = estimate_z_moment_parallel(1, 3, outer=600, inner=128, seed=63, workers=2)
@@ -270,8 +276,7 @@ class TestEstimateZMoment:
 
 
 def _sums_stderr(sums):
-    n, _, m2 = sums
-    return math.sqrt(m2 / (n - 1) / n)
+    return Estimate.of(sums).stderr
 
 
 class TestMomentControl:
@@ -315,13 +320,13 @@ class TestMomentControl:
 def _offset_shard(args):
     """(count, mean, M2) of one shard of values 1e9 + u, with u on a 1/8 grid."""
     seed, size = args
-    return moments._stats(1e9 + np.random.default_rng(seed).integers(0, 64, size) / 8.0)
+    return _stats(1e9 + np.random.default_rng(seed).integers(0, 64, size) / 8.0)
 
 
 class TestShardMerge:
     def test_values_far_from_zero_keep_their_stderr(self):
         shards = [(s, 1000 + s) for s in range(4)]
-        est = moments._estimate(_offset_shard, shards, None)
+        est = Estimate.of(reduce(_merge, map(_offset_shard, shards), _NO_STATS))
         u = np.concatenate(
             [np.random.default_rng(s).integers(0, 64, n) / 8.0 for s, n in shards]
         )

@@ -207,7 +207,7 @@ def _nearest_peak_point(model: DensityModel, center, radius: float) -> np.ndarra
     """A point of B(center, radius) where the density is largest: the point
     nearest the origin, or for the cube the point of the cube nearest center."""
     if model.kind == "uniform-cube":
-        return np.clip(center, -model.side / 2, model.side / 2)
+        return np.clip(center, -model.scale / 2, model.scale / 2)
     norm = np.linalg.norm(center)
     return center * (1.0 - min(radius, norm) / norm)
 
@@ -265,6 +265,9 @@ class TestDensityGrammar:
             uniform_ball(0)
         with pytest.raises(ValueError):
             uniform_cube(2, side=0.0)
+        # the gaussian is standard: one scale field, which it may not ignore
+        with pytest.raises(ValueError, match="scale must be 1"):
+            DensityModel(kind="gaussian", dimension=2, scale=2.0)
 
 
 class TestBallMeasure:
