@@ -274,8 +274,19 @@ def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
         t0 = time.perf_counter()
         rng = sampling.RandomStream(config.seed, i)
         m = 3 if d == 1 else 2  # three random intervals, or two random balls
-        centers = rng.random((m, d)) * 2.0 - 1.0
-        radii = 0.1 + 0.9 * rng.random(m)
+        radii = [0.1 + 0.9 * rng.random()]
+        centers = [rng.random(d) * 2.0 - 1.0]
+        for _ in range(1, m):
+            # each next ball has 1/2 to 2 times the volume of the one before
+            # it, and its center lies in a uniform direction at a distance
+            # uniform in (|r0 - r1|, |r0 - r1| + min(r0, r1)): the balls meet,
+            # neither holds the other, and their lens holds enough of the
+            # smaller ball that the mixture draws vary
+            r0, r1 = radii[-1], radii[-1] * (0.5 + 1.5 * rng.random()) ** (1.0 / d)
+            dist = abs(r0 - r1) + min(r0, r1) * rng.random()
+            g = rng.standard_normal(d)
+            radii.append(r1)
+            centers.append(centers[-1] + dist * g / np.linalg.norm(g))
         balls = [geometry.Ball(c, r) for c, r in zip(centers, radii)]
         if d == 1:  # exact sweep oracle
             oracle = geometry.interval_union_length(

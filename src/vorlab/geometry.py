@@ -296,6 +296,31 @@ def two_ball_union_volume(a: Ball, b: Ball) -> float:
     return hi + (lo - inter)
 
 
+def _pairwise_sum(term, n: int, lo: int = 0) -> np.ndarray:
+    """term(lo) + ... + term(lo + n - 1) in numpy's pairwise order, the
+    order in which (v * v).sum(axis=-1) adds a row of n squares: fewer
+    than 8 terms left to right, up to 128 in 8 interleaved partial sums
+    that are then added in pairs, and more as two halves, split at a
+    multiple of 8.  Each term(i) must be a new array."""
+    if n < 8:
+        out = term(lo)
+        for i in range(lo + 1, lo + n):
+            out += term(i)
+        return out
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(term, half, lo) + _pairwise_sum(term, n - half, lo + half)
+    r = [term(lo + j) for j in range(8)]
+    tail = lo + n - n % 8
+    for i in range(lo + 8, tail, 8):
+        for j, rj in enumerate(r):
+            rj += term(i + j)
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(tail, lo + n):
+        out += term(i)
+    return out
+
+
 # draws, and their coordinates, per union_volume_mc_values call of union_volume_mc
 _MC_CHUNK = 1 << 16
 _MC_COORDS = 1 << 18
@@ -332,14 +357,24 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
     np.minimum(src, k - 1, out=src)
 
     g = rng.standard_normal((nsets, m, d))
-    g /= np.sqrt(row_sq_norms(g))[:, :, None]
-    rows = np.arange(nsets)[:, None]
-    rad = rng.random((nsets, m)) ** (1.0 / d) * radii[rows, src]
-    x = centers[rows, src] + g * rad[:, :, None]
+    # each draw's source ball, as an index into the rows of k balls
+    src_at = src + k * np.arange(nsets)[:, None]
+    rad = rng.random((nsets, m)) ** (1.0 / d) * np.take(radii, src_at)
+    # one (nsets, m) array per coordinate from here on; a point is
+    # (g / |g|) * radius + center, and each squared norm is summed in
+    # numpy's row order, as row_sq_norms sums it
+    norm = np.sqrt(_pairwise_sum(lambda i: np.square(g[..., i]), d))
+    x = np.empty((d, nsets, m))
+    for i, xi in enumerate(x):
+        np.divide(g[..., i], norm, out=xi)
+        xi *= rad
+        xi += np.take(centers[:, :, i], src_at)
+    del g, norm
 
     hits = np.zeros((nsets, m), dtype=np.int32)
     for j in range(k):
-        d2 = row_sq_norms(x - centers[:, None, j, :])
+        c = centers[:, j, :, None]
+        d2 = _pairwise_sum(lambda i: np.square(x[i] - c[:, i]), d)
         inside = d2 <= (radii[:, j] ** 2)[:, None]
         # the drawn point lies in its source ball by construction; rounding
         # at the boundary must not drop it

@@ -156,7 +156,10 @@ def _zmoment_sums(args) -> tuple[int, float, float]:
     / P(l), whose mean telescopes to E[f_mL] - 1 at the top level L: the
     control f(S_k), at the configuration's sum of ball volumes, has mean
     exactly 1.  The top level's correction counts twice, which cancels the
-    c/m bias of E[f_mL] and leaves O(1/m_L^2).
+    c/m bias of E[f_mL] and leaves O(1/m_L^2).  The base term f_m0 is the
+    mean of f over all m / m0 disjoint blocks of m0 draws: the draws are
+    iid, so every block has the law of the first, and the mean keeps
+    E[f_m0] while it averages out much of the inner noise.
     """
     d, k, outer, inner, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
@@ -186,7 +189,8 @@ def _zmoment_sums(args) -> tuple[int, float, float]:
                 first = vals[:, : m // 2].sum(axis=1)
                 second = vals[:, m // 2 :].sum(axis=1)
                 delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
-                theta[part] = f(vals[:, :m0].sum(axis=1), m0) - f(s, 1) + w * delta
+                base = f(vals.reshape(part.size, m // m0, m0).sum(axis=2), m0).mean(axis=1)
+                theta[part] = base - f(s, 1) + w * delta
         acc = _merge(acc, _stats(theta))
     return acc
 

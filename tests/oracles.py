@@ -379,3 +379,107 @@ def zmoment_sums_plain(args) -> tuple[int, float, float]:
                 theta[part] = f(vals[:, :m0].sum(axis=1), m0) + w * delta
         acc = _merge(acc, _stats(theta))
     return acc
+
+
+def union_volume_mc_values_reference(centers: np.ndarray, radii: np.ndarray, samples: int, rng) -> np.ndarray:
+    """The mixture estimator's per-draw values, copied verbatim from
+    geometry.union_volume_mc_values as it was before it ran one coordinate
+    at a time: on (nsets, m, d) arrays, with rows of squares summed by
+    row_sq_norms.  The library kernel must return the same bits from the
+    same draws.
+
+    Per-draw values of the mixture estimator for ball-union volumes.
+
+    ``centers`` has shape (nsets, k, d) and ``radii`` (nsets, k); the return
+    value has shape (nsets, samples) and each row averages to the union
+    volume of that row's balls.  A draw picks ball i with probability
+    vol_i / sum_j vol_j, samples a uniform point X in it, and contributes
+    sum_j vol_j / #{j : X in B_j}.  Rows whose balls all have zero volume
+    yield all-zero values.
+    """
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    nsets, k, d = centers.shape
+    m = int(samples)
+    if m < 1:
+        raise ValueError("samples must be >= 1")
+
+    vols = unit_ball_volume(d) * radii**d
+    total = vols.sum(axis=1)
+    live = total > 0.0
+    weights = np.where(live[:, None], vols / np.where(live, total, 1.0)[:, None], 0.0)
+    cum = np.cumsum(weights, axis=1)
+
+    u = rng.random((nsets, m))
+    # the number of cumulative weights below u, capped at k - 1
+    src = np.zeros((nsets, m), dtype=np.intp)
+    for j in range(k):
+        src += u > cum[:, j, None]
+    np.minimum(src, k - 1, out=src)
+
+    g = rng.standard_normal((nsets, m, d))
+    g /= np.sqrt(row_sq_norms(g))[:, :, None]
+    rows = np.arange(nsets)[:, None]
+    rad = rng.random((nsets, m)) ** (1.0 / d) * radii[rows, src]
+    x = centers[rows, src] + g * rad[:, :, None]
+
+    hits = np.zeros((nsets, m), dtype=np.int32)
+    for j in range(k):
+        d2 = row_sq_norms(x - centers[:, None, j, :])
+        inside = d2 <= (radii[:, j] ** 2)[:, None]
+        # the drawn point lies in its source ball by construction; rounding
+        # at the boundary must not drop it
+        inside |= src == j
+        hits += inside
+    values = total[:, None] / hits
+    values[~live] = 0.0
+    return values
+
+
+def zmoment_sums_first_block(args) -> tuple[int, float, float]:
+    """moments._zmoment_sums copied verbatim as it was when its base term
+    f_m0 used only the first m0 inner values of each outer draw: (count,
+    mean, M2) on the same draws as moments._zmoment_sums for the same args.
+
+    Single-term randomized multilevel estimate of E[k! / W_k^k] - 1.
+
+    Each outer draw picks a level l with one uniform and runs
+    m = m0 * 2^(l+1) inner draws for one configuration.  With f(w) = k!/w^k
+    and f_n the value of f at the mean of n of those draws, its value is
+    f_m0 - f(S_k) + (f_m - (f of the first half + f of the second half) / 2)
+    / P(l), whose mean telescopes to E[f_mL] - 1 at the top level L: the
+    control f(S_k), at the configuration's sum of ball volumes, has mean
+    exactly 1.  The top level's correction counts twice, which cancels the
+    c/m bias of E[f_mL] and leaves O(1/m_L^2).
+    """
+    d, k, outer, inner, seed, stream_index = args
+    rng = RandomStream(seed, stream_index)
+    kf = _factorial(k)
+    m0, p = _levels(inner)
+    weight = 1.0 / p
+    weight[-1] *= 2.0
+    cum = np.cumsum(p)
+
+    def f(total, size):
+        return kf / (total / size) ** k
+
+    acc = _NO_STATS
+    left = outer
+    while left:
+        c = min(_OUTER_CHUNK, left)
+        left -= c
+        level = np.minimum(np.searchsorted(cum, rng.random(c), side="right"), p.size - 1)
+        theta = np.empty(c)
+        for lev, w in enumerate(weight):
+            m = m0 << (lev + 1)
+            rows = np.flatnonzero(level == lev)
+            step = max(1, min(_POINTS_PER_CALL, _COORDS_PER_CALL // d) // m)
+            for part in (rows[i : i + step] for i in range(0, rows.size, step)):
+                s = np.empty(part.size)
+                vals = wk_mc_values(d, k, part.size, m, rng, out=s)
+                first = vals[:, : m // 2].sum(axis=1)
+                second = vals[:, m // 2 :].sum(axis=1)
+                delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
+                theta[part] = f(vals[:, :m0].sum(axis=1), m0) - f(s, 1) + w * delta
+        acc = _merge(acc, _stats(theta))
+    return acc

@@ -250,6 +250,19 @@ class TestRunCommands:
             inside = [r.lower_bound <= r.estimate <= r.upper_bound for r in rows]
             assert all(inside)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_unionvol_check_draws_vary(self, dim, capsys):
+        # every instance overlaps without nesting, so no row's draws are
+        # constant and its bounds, the oracle +- 4 stderr, do not collapse
+        argv = ["unionvol-check", "--dim", str(dim), "--replicates", "50", "--samples", "2000"]
+        assert main(argv) == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        assert len(rows) == 50
+        for r in rows:
+            assert r.stderr > 0.0
+            assert r.lower_bound < (r.lower_bound + r.upper_bound) / 2 < r.upper_bound
+            assert r.lower_bound <= r.estimate <= r.upper_bound
+
 
 class TestWriteCsv:
     def test_header_exact(self):

@@ -30,6 +30,7 @@ from oracles import (
     hit_or_miss_union,
     lens_volume_quad,
     random_rotation,
+    union_volume_mc_values_reference,
 )
 
 # frozen closed forms, re-derived below against the quadrature oracle
@@ -347,6 +348,70 @@ class TestEstimateOf:
             warnings.simplefilter("error")
             est = Estimate.of(_stats(np.array(x)))
         assert est == Estimate(math.inf, math.inf, len(x))
+
+
+class _NearOne:
+    """A stream whose uniforms all read as the largest double below 1, so
+    that every draw comes from the last ball, at the edge of its radius;
+    it takes the same draws from the wrapped stream as that stream would."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size=None):
+        return np.full(np.shape(self.rng.random(size)), 1.0 - 2.0**-53)
+
+    def standard_normal(self, size=None):
+        return self.rng.standard_normal(size)
+
+
+class TestUnionKernelBits:
+    """The coordinate-column union kernel returns the bits of the row form
+    (tests/oracles.py) from the same draws, and leaves its stream where the
+    row form leaves it."""
+
+    @staticmethod
+    def assert_same(centers, radii, samples, seed, wrap=lambda rng: rng):
+        a, b = RandomStream(seed), RandomStream(seed)
+        got = union_volume_mc_values(centers, radii, samples, wrap(a))
+        want = union_volume_mc_values_reference(centers, radii, samples, wrap(b))
+        assert np.array_equal(got, want)
+        assert a.random() == b.random()
+        return want
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_random_rows(self, d, k):
+        rng = np.random.default_rng(100 * d + k)
+        centers = rng.uniform(-0.6, 0.6, (5, k, d))
+        radii = rng.uniform(0.05, 1.0, (5, k))
+        radii[0] = 0.0
+        want = self.assert_same(centers, radii, 257, d + k)
+        assert np.all(want[0] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20])
+    def test_nested_pair(self, d):
+        centers = np.zeros((1, 2, d))
+        centers[0, 1, 0] = 0.1
+        want = self.assert_same(centers, np.array([[1.0, 0.8]]), 400, 30 + d)
+        # draws in the inner ball meet both balls, the others one
+        assert set(np.unique(want * 2.0 / want.max())) == {1.0, 2.0}
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 20])
+    def test_draws_on_the_boundary(self, d):
+        # two equal balls, every draw at the edge of the second: rounding
+        # puts some of them outside the first, and keeps them in the second
+        centers = np.tile(np.linspace(-0.7, 0.4, d), (1, 2, 1))
+        want = self.assert_same(centers, np.full((1, 2), 0.37), 1000, 40 + d, _NearOne)
+        total = 2 * Ball(centers[0, 0], 0.37).volume
+        assert np.any(want == total) and np.any(want == total / 2)
+
+    def test_pairwise_sum_is_numpys_row_sum(self):
+        rng = np.random.default_rng(50)
+        for d in (*range(1, 20), 64, 127, 128, 129, 136, 257, MAX_DIM):
+            v = rng.standard_normal((300, d)) * np.exp(3.0 * rng.standard_normal((300, d)))
+            got = geometry._pairwise_sum(lambda i: np.square(v[:, i]), d)
+            assert np.array_equal(got, np.square(v).sum(axis=-1)), d
 
 
 class TestUnionVolumeMC:

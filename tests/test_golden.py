@@ -6,10 +6,13 @@ that is meant to alter outputs regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
-which writes the named cases only, or every case when none is named, and
-says in its description which rows moved and why.
+which writes the named cases only, or every case when none is named.  For
+each row that moved it prints the old and new estimate and stderr, and
+|new - old| / hypot(old stderr, new stderr); the change says why they moved.
 """
 
+import csv
+import math
 import sys
 from pathlib import Path
 
@@ -81,6 +84,27 @@ def _csv(argv, path: Path) -> str:
     return _strip_elapsed(path.read_text(encoding="utf-8"))
 
 
+def _moved_rows(old: str, new: str) -> list[str]:
+    """One line for each row of the CSV `new` that differs from the same row
+    of `old`: its k and n, both estimates and stderrs, and z, the change in
+    the estimate over the hypot of the two stderrs."""
+    old_rows, new_rows = (list(csv.DictReader(t.splitlines())) for t in (old, new))
+    if len(old_rows) != len(new_rows):
+        return [f"  {len(old_rows)} -> {len(new_rows)} rows"]
+    lines = []
+    for a, b in zip(old_rows, new_rows):
+        if a == b:
+            continue
+        (ea, sa), (eb, sb) = ((float(r["estimate"]), float(r["stderr"])) for r in (a, b))
+        if sa or sb:
+            z = abs(eb - ea) / math.hypot(sa, sb)
+        else:
+            z = math.inf if ea != eb else 0.0
+        row = " ".join(f"{key}={b[key]}" for key in ("k", "n") if b[key])
+        lines.append(f"  {row}: {ea:.12g} +- {sa:.3g} -> {eb:.12g} +- {sb:.3g}, z = {z:.2f}")
+    return lines
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path):
     want = (GOLDEN / f"{case}.csv").read_text(encoding="utf-8")
@@ -101,6 +125,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in names:
-            (GOLDEN / f"{case}.csv").write_text(_csv(CASES[case], Path(tmp) / "out.csv"),
-                                                encoding="utf-8")
+            path = GOLDEN / f"{case}.csv"
+            old = path.read_text(encoding="utf-8") if path.exists() else ""
+            new = _csv(CASES[case], Path(tmp) / "out.csv")
+            path.write_text(new, encoding="utf-8")
             print(f"wrote {case}", file=sys.stderr)
+            for line in _moved_rows(old, new):
+                print(line, file=sys.stderr)

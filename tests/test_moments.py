@@ -24,7 +24,9 @@ from vorlab.sampling import RandomStream, sample_unit_ball_batch, uniform_ball
 from vorlab.wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, w_and_lens, wk_mc_values
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
-from oracles import sample_w_batch_reference, z_mgf_bounds, zmoment_sums_plain
+from oracles import (
+    sample_w_batch_reference, z_mgf_bounds, zmoment_sums_first_block, zmoment_sums_plain,
+)
 
 
 class TestAlphaClosedFormD1:
@@ -315,6 +317,32 @@ class TestMomentControl:
         assert new[0] == plain[0] == 4000
         assert abs(1.0 + new[1] - plain[1]) <= 4 * math.hypot(_sums_stderr(new),
                                                               _sums_stderr(plain))
+
+
+class TestBlockBase:
+    """The base term of the k >= 3 estimator averages f over every block of
+    m0 inner draws, against the first block alone (tests/oracles.py) on the
+    same draws."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("d, k", [(2, 4), (8, 3)])
+    def test_cuts_the_stderr(self, d, k, seed):
+        # the variance falls 1.3x at d = 2, k = 4 and 1.5x at d = 8, k = 3
+        args = (d, k, 4000, DEFAULT_INNER_SAMPLES, seed, 2)
+        assert _sums_stderr(moments._zmoment_sums(args)) <= 0.95 * _sums_stderr(
+            zmoment_sums_first_block(args))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_d1_closed_form(self, k):
+        est = estimate_z_moment_parallel(1, k, outer=20_000, seed=69, stream_index=k)
+        assert abs(est.value - z_moment_closed_form_d1(k)) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_agrees_with_first_block_at_d2(self, k):
+        args = (2, k, 4000, DEFAULT_INNER_SAMPLES, 70, k)
+        new, old = moments._zmoment_sums(args), zmoment_sums_first_block(args)
+        assert new[0] == old[0] == 4000
+        assert abs(new[1] - old[1]) <= 4 * math.hypot(_sums_stderr(new), _sums_stderr(old))
 
 
 def _offset_shard(args):
