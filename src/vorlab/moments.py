@@ -7,8 +7,10 @@ alpha(d) - 1.  The k-th limiting moment is the mean of k! / W_k^k.  For
 k >= 3, where W_k itself is Monte Carlo estimated, a randomized multilevel
 estimator (Rhee and Glynn 2015; Blanchet and Glynn 2015) removes the
 plug-in bias of w -> k! / w^k, up to O(1/inner^2) for a cap of `inner`
-inner draws, and subtracts the control k! / S_k^k of mean exactly 1, with
-S_k the normalized sum of the k ball volumes, which W_k tends to as d grows.
+inner draws, and subtracts the star control k! / (1 + V_1 + ... + V_(k-1))^k,
+with 1 + V_i the exact union of random ball i with the fixed ball, which
+W_k tends to as d grows.  Its mean C_k(d) comes from a product Gauss rule
+(Golub and Welsch 1969) over the law of one V_i and a Laplace integral.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .geometry import _NO_STATS, Estimate, _merge, _stats, check_dim
+from .geometry import (
+    _NO_STATS, Estimate, _merge, _stats, ball_intersection_volumes, check_dim, unit_ball_volume,
+)
 from .sampling import RandomStream, check_seed, shard_ranges
 from .wstat import _BLOCK, DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
 
@@ -54,6 +58,9 @@ _M0 = 16
 # mixture points (configurations x inner draws), and their coordinates, per wk_mc_values call
 _POINTS_PER_CALL = 1 << 21
 _COORDS_PER_CALL = 1 << 22
+# nodes of the rule for the star control's mean: Gauss-Jacobi in |Y|,
+# Gauss-Legendre in the angle to e1, Gauss-Laguerre in the Laplace variable
+_R_NODES, _THETA_NODES, _T_NODES = 64, 48, 96
 
 
 @dataclass(frozen=True)
@@ -146,20 +153,105 @@ def _levels(inner: int) -> tuple[int, np.ndarray]:
     return m0, p / p.sum()
 
 
+def _gauss(diag, off) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule of the symmetric tridiagonal Jacobi matrix with
+    diagonal `diag` and off-diagonal `off` (Golub and Welsch 1969): its
+    eigenvalues as nodes, and weights summing to 1.
+
+    Each weight is 1 / sum_j p_j(x)^2 over the orthonormal polynomials of the
+    matrix's three-term recurrence, a sum of positive terms, so tiny weights
+    keep their relative accuracy, which the eigenvectors' first components
+    lose.  A sum that overflows belongs to a weight below the double range,
+    which is 0.
+    """
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p, prev, total = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, b in enumerate(off):
+            p, prev = ((x - diag[j]) * p - (off[j - 1] if j else 0.0) * prev) / b, p
+            total += p * p
+    w = np.where(np.isfinite(total), 1.0 / total, 0.0)
+    return x, w / w.sum()
+
+
+def _jacobi01(beta: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule on [0, 1] for the weight x^beta (Gauss-Legendre
+    at beta = 0): the Jacobi(0, beta) recurrence, mapped from [-1, 1]."""
+    j = np.arange(1, n, dtype=float)
+    s = 2.0 * j + beta
+    diag = np.empty(n)
+    diag[0] = 0.5 + 0.5 * beta / (beta + 2.0)
+    diag[1:] = 0.5 + 0.5 * beta * beta / (s * (s + 2.0))
+    off = j * (j + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    return _gauss(diag, off)
+
+
+@lru_cache(maxsize=None)
+def _star_table(d: int, nr: int = _R_NODES, nth: int = _THETA_NODES):
+    """V = W_2 - 1 for Y uniform in the unit ball, at the nodes of a product
+    rule in (r, theta) = (|Y|, the angle of Y to e1), and the nodes' weights.
+
+    |Y| has density d r^(d-1), which the Gauss-Jacobi nodes carry; theta has
+    density proportional to sin^(d-2) theta, folded into the weights of
+    Gauss-Legendre nodes on [0, pi], and at d = 1 it is 0 or pi.
+    """
+    r, wr = _jacobi01(d - 1, nr)
+    if d == 1:
+        theta, wt = np.array([0.0, math.pi]), np.array([0.5, 0.5])
+    else:
+        x, wt = _jacobi01(0, nth)
+        theta = math.pi * x
+        wt = wt * np.sin(theta) ** (d - 2)
+        wt /= wt.sum()
+    r, theta = r[:, None], theta[None, :]
+    # |Y - e1|^2 = (1 - r)^2 + 4 r sin^2(theta/2), without cancellation near Y = e1
+    dist = np.sqrt((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * theta) ** 2)
+    v = r**d - ball_intersection_volumes(d, 1.0, r, dist) / unit_ball_volume(d)
+    return v.ravel(), np.outer(wr, wt).ravel()
+
+
+@lru_cache(maxsize=None)
+def _star_laplace(d: int, nr: int = _R_NODES, nth: int = _THETA_NODES, nt: int = _T_NODES):
+    """The Gauss-Laguerre nodes t and weights, and phi_d(t) = E exp(-t V)
+    at the nodes, by the rule of _star_table.
+
+    phi is formed one node at a time: a (nt, nodes) array would be above
+    glibc's 128 KiB mmap threshold, and freeing it would raise the
+    threshold, so that the union kernel's later arrays stay on the heap and
+    the process's peak memory grows by megabytes."""
+    v, w = _star_table(d, nr, nth)
+    j = np.arange(nt, dtype=float)
+    t, wt = _gauss(2.0 * j + 1.0, j[1:])
+    return t, wt, np.array([np.exp(-x * v) @ w for x in t])
+
+
+def _star_mean(d: int, k: int, nr: int = _R_NODES, nth: int = _THETA_NODES,
+               nt: int = _T_NODES) -> float:
+    """C_k(d) = E[k! / (1 + V_1 + ... + V_(k-1))^k] for iid V_i = W_2 - 1.
+
+    From 1/a^k = (1/(k-1)!) int_0^inf t^(k-1) e^(-a t) dt and independence,
+    C_k(d) = k int_0^inf t^(k-1) e^(-t) phi_d(t)^(k-1) dt, with
+    phi_d(t) = E exp(-t V); C_2(d) is alpha(d).
+    """
+    t, wt, phi = _star_laplace(d, nr, nth, nt)
+    return float(k * (wt @ (t * phi) ** (k - 1)))
+
+
 def _zmoment_sums(args) -> tuple[int, float, float]:
-    """Single-term randomized multilevel estimate of E[k! / W_k^k] - 1.
+    """Single-term randomized multilevel estimate of E[k! / W_k^k] - C_k(d).
 
     Each outer draw picks a level l with one uniform and runs
     m = m0 * 2^(l+1) inner draws for one configuration.  With f(w) = k!/w^k
     and f_n the value of f at the mean of n of those draws, its value is
-    f_m0 - f(S_k) + (f_m - (f of the first half + f of the second half) / 2)
-    / P(l), whose mean telescopes to E[f_mL] - 1 at the top level L: the
-    control f(S_k), at the configuration's sum of ball volumes, has mean
-    exactly 1.  The top level's correction counts twice, which cancels the
-    c/m bias of E[f_mL] and leaves O(1/m_L^2).  The base term f_m0 is the
-    mean of f over all m / m0 disjoint blocks of m0 draws: the draws are
-    iid, so every block has the law of the first, and the mean keeps
-    E[f_m0] while it averages out much of the inner noise.
+    f_m0 - f(B) + (f_m - (f of the first half + f of the second half) / 2)
+    / P(l), whose mean telescopes to E[f_mL] - C_k(d) at the top level L:
+    the control f(B), at the configuration's star bound B = 1 + sum V_i
+    that wk_mc_values writes, has mean C_k(d) (_star_mean).  The top
+    level's correction counts twice, which cancels the c/m bias of E[f_mL]
+    and leaves O(1/m_L^2).  The base term f_m0 is the mean of f over all
+    m / m0 disjoint blocks of m0 draws: the draws are iid, so every block
+    has the law of the first, and the mean keeps E[f_m0] while it averages
+    out much of the inner noise.
     """
     d, k, outer, inner, seed, stream_index = args
     rng = RandomStream(seed, stream_index)
@@ -212,15 +304,16 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
     if k == 1:
         return Estimate(value=1.0, stderr=0.0, samples=int(outer))
     if k == 2:
-        fn, args = _alpha_sums, [(d, len(r), seed, i) for i, r in shards]
+        fn, args, mean = _alpha_sums, [(d, len(r), seed, i) for i, r in shards], 1.0
     else:
         fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
+        mean = _star_mean(d, k)
     # every shard's (count, mean, M2), merged in stream order
     with nullcontext(pool) if pool is not None else shard_pool(workers, int(outer)) as pool:
         parts = [fn(a) for a in args] if pool is None else list(pool.map(fn, args))
     est = Estimate.of(reduce(_merge, parts, _NO_STATS))
-    # every shard averages the excess over a control of mean exactly 1
-    return replace(est, value=1.0 + est.value)
+    # every shard averages the excess over a control of known mean
+    return replace(est, value=mean + est.value)
 
 
 def estimate_z_moment_parallel(
@@ -231,9 +324,12 @@ def estimate_z_moment_parallel(
 
     k = 1 is exactly 1; k = 2 uses the exact two-ball sampler; k >= 3 uses a
     randomized multilevel estimator over mixture-estimator draws, less the
-    control k! / S_k^k of mean exactly 1 (S_k is the normalized sum of the
-    k ball volumes), so its error shrinks as W_k concentrates on S_k with
-    growing d.  `inner` (2..MAX_INNER_SAMPLES) caps the inner draws of one
+    star control k! / (1 + V_1 + ... + V_(k-1))^k, where 1 + V_i is the
+    exact union of random ball i with the fixed ball, plus the control's
+    mean C_k(d) from a product Gauss rule, computed in the calling process
+    before the shards run; its error shrinks as W_k concentrates on the
+    star bound with growing d.
+    `inner` (2..MAX_INNER_SAMPLES) caps the inner draws of one
     configuration; the estimator spends about 66 of them per outer draw at
     the default cap, and its bias is O(1/inner^2).  The standard error covers
     both the outer and the inner variation.  Streams and their merge are

@@ -75,9 +75,10 @@ def wk_mc_values(
 
     Returns shape (n, inner_samples); each row's mean estimates that
     configuration's normalized union volume.  When given, `out` (shape (n,))
-    receives each configuration's normalized sum of ball volumes
-    S_k = 1 + sum |y_i|^d >= W_k, at no extra draws.  Requires k >= 3 (lower
-    orders are exact and never need inner sampling).
+    receives each configuration's star bound 1 + sum V_i >= W_k, at no extra
+    draws: V_i = |y_i|^d - L_i is the normalized part of ball i outside the
+    fixed ball, with L_i their exact lens, so 1 + V_i is ball i's W_2.
+    Requires k >= 3 (lower orders are exact and never need inner sampling).
     """
     if k < 3:
         raise ValueError("wk_mc_values is for k >= 3; lower orders are exact")
@@ -89,8 +90,13 @@ def wk_mc_values(
     centers[:, 1:] = sample_unit_ball_batch(d, n * (k - 1), rng).reshape(n, k - 1, d)
     radii = np.ones((n, k))
     radii[:, 1:] = np.sqrt(row_sq_norms(centers[:, 1:]))
-    if out is not None:
-        np.sum(radii**d, axis=1, out=out)
     v = unit_ball_volume(d)
+    if out is not None:
+        shifted = centers[:, 1:].copy()
+        shifted[..., 0] -= 1.0
+        vols = radii**d
+        vols[:, 1:] -= ball_intersection_volumes(
+            d, 1.0, radii[:, 1:], np.sqrt(row_sq_norms(shifted))) / v
+        np.sum(vols, axis=1, out=out)
     return union_volume_mc_values(centers, radii, inner_samples, rng) / v
 

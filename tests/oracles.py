@@ -15,11 +15,13 @@ from scipy import integrate
 from scipy.special import gammainc, gammaln
 from scipy.stats import chi2
 
-from vorlab.geometry import _NO_STATS, _merge, _stats, row_sq_norms, unit_ball_volume
+from vorlab.geometry import (
+    _NO_STATS, _merge, _stats, row_sq_norms, union_volume_mc_values, unit_ball_volume,
+)
 from vorlab.moments import (
     _COORDS_PER_CALL, _OUTER_CHUNK, _POINTS_PER_CALL, MomentBounds, _factorial, _levels,
 )
-from vorlab.sampling import RandomStream
+from vorlab.sampling import RandomStream, sample_unit_ball_batch
 from vorlab.wstat import wk_mc_values
 
 
@@ -438,8 +440,9 @@ def union_volume_mc_values_reference(centers: np.ndarray, radii: np.ndarray, sam
 
 def zmoment_sums_first_block(args) -> tuple[int, float, float]:
     """moments._zmoment_sums copied verbatim as it was when its base term
-    f_m0 used only the first m0 inner values of each outer draw: (count,
-    mean, M2) on the same draws as moments._zmoment_sums for the same args.
+    f_m0 used only the first m0 inner values of each outer draw, with the
+    control k! / S_k^k of wk_mc_values_sk: (count, mean, M2) on the same
+    draws as moments._zmoment_sums for the same args.
 
     Single-term randomized multilevel estimate of E[k! / W_k^k] - 1.
 
@@ -476,10 +479,113 @@ def zmoment_sums_first_block(args) -> tuple[int, float, float]:
             step = max(1, min(_POINTS_PER_CALL, _COORDS_PER_CALL // d) // m)
             for part in (rows[i : i + step] for i in range(0, rows.size, step)):
                 s = np.empty(part.size)
-                vals = wk_mc_values(d, k, part.size, m, rng, out=s)
+                vals = wk_mc_values_sk(d, k, part.size, m, rng, out=s)
                 first = vals[:, : m // 2].sum(axis=1)
                 second = vals[:, m // 2 :].sum(axis=1)
                 delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
                 theta[part] = f(vals[:, :m0].sum(axis=1), m0) - f(s, 1) + w * delta
         acc = _merge(acc, _stats(theta))
     return acc
+
+
+def wk_mc_values_sk(
+    d: int, k: int, n: int, inner_samples: int, rng: RandomStream, out=None
+) -> np.ndarray:
+    """wstat.wk_mc_values copied verbatim as it was when `out` received S_k,
+    the sum of the normalized ball volumes, in place of the star bound: the
+    same values from the same draws.
+
+    Normalized per-draw union-volume values for n order-k configurations.
+
+    Returns shape (n, inner_samples); each row's mean estimates that
+    configuration's normalized union volume.  When given, `out` (shape (n,))
+    receives each configuration's normalized sum of ball volumes
+    S_k = 1 + sum |y_i|^d >= W_k, at no extra draws.  Requires k >= 3 (lower
+    orders are exact and never need inner sampling).
+    """
+    if k < 3:
+        raise ValueError("wk_mc_values is for k >= 3; lower orders are exact")
+    if inner_samples < 1:
+        raise ValueError("inner_samples must be >= 1 for k >= 3")
+    # each configuration is the fixed ball B(e1, 1), then k - 1 balls B(y, |y|)
+    centers = np.zeros((n, k, d))
+    centers[:, 0, 0] = 1.0
+    centers[:, 1:] = sample_unit_ball_batch(d, n * (k - 1), rng).reshape(n, k - 1, d)
+    radii = np.ones((n, k))
+    radii[:, 1:] = np.sqrt(row_sq_norms(centers[:, 1:]))
+    if out is not None:
+        np.sum(radii**d, axis=1, out=out)
+    v = unit_ball_volume(d)
+    return union_volume_mc_values(centers, radii, inner_samples, rng) / v
+
+
+def zmoment_sums_sk_control(args) -> tuple[int, float, float]:
+    """moments._zmoment_sums copied verbatim as it was when it subtracted
+    the control k! / S_k^k, of mean exactly 1, in place of the star control,
+    with S_k from wk_mc_values_sk: (count, mean, M2) on the same draws as
+    moments._zmoment_sums for the same args; the estimate is 1 + mean.
+
+    Single-term randomized multilevel estimate of E[k! / W_k^k] - 1.
+
+    Each outer draw picks a level l with one uniform and runs
+    m = m0 * 2^(l+1) inner draws for one configuration.  With f(w) = k!/w^k
+    and f_n the value of f at the mean of n of those draws, its value is
+    f_m0 - f(S_k) + (f_m - (f of the first half + f of the second half) / 2)
+    / P(l), whose mean telescopes to E[f_mL] - 1 at the top level L: the
+    control f(S_k), at the configuration's sum of ball volumes, has mean
+    exactly 1.  The top level's correction counts twice, which cancels the
+    c/m bias of E[f_mL] and leaves O(1/m_L^2).  The base term f_m0 is the
+    mean of f over all m / m0 disjoint blocks of m0 draws: the draws are
+    iid, so every block has the law of the first, and the mean keeps
+    E[f_m0] while it averages out much of the inner noise.
+    """
+    d, k, outer, inner, seed, stream_index = args
+    rng = RandomStream(seed, stream_index)
+    kf = _factorial(k)
+    m0, p = _levels(inner)
+    weight = 1.0 / p
+    weight[-1] *= 2.0
+    cum = np.cumsum(p)
+
+    def f(total, size):
+        return kf / (total / size) ** k
+
+    acc = _NO_STATS
+    left = outer
+    while left:
+        c = min(_OUTER_CHUNK, left)
+        left -= c
+        level = np.minimum(np.searchsorted(cum, rng.random(c), side="right"), p.size - 1)
+        theta = np.empty(c)
+        for lev, w in enumerate(weight):
+            m = m0 << (lev + 1)
+            rows = np.flatnonzero(level == lev)
+            step = max(1, min(_POINTS_PER_CALL, _COORDS_PER_CALL // d) // m)
+            for part in (rows[i : i + step] for i in range(0, rows.size, step)):
+                s = np.empty(part.size)
+                vals = wk_mc_values_sk(d, k, part.size, m, rng, out=s)
+                first = vals[:, : m // 2].sum(axis=1)
+                second = vals[:, m // 2 :].sum(axis=1)
+                delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
+                base = f(vals.reshape(part.size, m // m0, m0).sum(axis=2), m0).mean(axis=1)
+                theta[part] = base - f(s, 1) + w * delta
+        acc = _merge(acc, _stats(theta))
+    return acc
+
+
+def star_mean_d1_mpmath(k: int, dps: int = 30) -> float:
+    """C_k(1) = E[k! / (1 + V_1 + ... + V_(k-1))^k] at d = 1 by mpmath
+    quadrature of k int_0^inf t^(k-1) e^(-t) phi(t)^(k-1) dt.
+
+    At d = 1, V = W_2 - 1 is 0 for Y > 0 (the random interval [0, 2Y] lies
+    in [0, 2]) and |Y| for Y < 0 (the two are disjoint), so
+    phi(t) = E exp(-t V) = 1/2 + (1 - e^(-t)) / (2t) exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def integrand(t):
+            phi = mpmath.mpf(1) / 2 + (-mpmath.expm1(-t)) / (2 * t)
+            return t ** (k - 1) * mpmath.exp(-t) * phi ** (k - 1)
+
+        return float(k * mpmath.quad(integrand, [0, 1, 10, 50, mpmath.inf]))

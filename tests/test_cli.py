@@ -240,6 +240,14 @@ class TestRunCommands:
         assert len(pools) == 1
         assert [r.k for r in rows_from_csv(capsys.readouterr().out)] == [1, 2, 3, 4]
 
+    def test_zmoments_at_max_dim(self, capsys):
+        # the star control's rule and the union kernel at d = MAX_DIM
+        code = main(["zmoments", "--dim", str(MAX_DIM), "--k-max", "3", "--samples", "64"])
+        assert code == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        assert [r.k for r in rows] == [1, 2, 3]
+        assert all(math.isfinite(r.estimate) and math.isfinite(r.stderr) for r in rows)
+
     def test_unionvol_check_agreement_flag(self):
         for dim in (1, 2):
             cfg = parse_config(
@@ -544,12 +552,14 @@ class TestScipyImports:
     @pytest.mark.parametrize("argv", list(_NO_SCIPY_RUNS.values()), ids=list(_NO_SCIPY_RUNS))
     def test_commands_load_no_scipy(self, argv):
         # a blocker, not a look at sys.modules, so that the imports of forked
-        # pool workers, which inherit it, are checked too
+        # pool workers, which inherit it, are checked too; numpy.polynomial
+        # (3.5 ms of import) is refused as well, so that the star control's
+        # Gauss rules stay off the start-up path
         code = ("import sys\n"
                 "class NoScipy:\n"
                 "    def find_spec(self, name, path=None, target=None):\n"
-                "        if name.split('.')[0] == 'scipy':\n"
-                "            raise ImportError(f'scipy import: {name}')\n"
+                "        if name.split('.')[0] == 'scipy' or name.startswith('numpy.polynomial'):\n"
+                "            raise ImportError(f'blocked import: {name}')\n"
                 "sys.meta_path.insert(0, NoScipy())\n"
                 "from vorlab import cli\n"
                 "sys.exit(cli.main(sys.argv[1:]))")

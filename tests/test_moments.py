@@ -9,7 +9,10 @@ from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 
 from vorlab import moments
-from vorlab.geometry import _NO_STATS, Estimate, _merge, _stats
+from vorlab.geometry import (
+    _NO_STATS, Ball, Estimate, _merge, _stats, interval_union_length, union_volume_mc,
+    unit_ball_volume,
+)
 from vorlab.moments import (
     MAX_FACTORIAL_K,
     MomentBounds,
@@ -25,8 +28,10 @@ from vorlab.wstat import DEFAULT_INNER_SAMPLES, sample_w_batch, w_and_lens, wk_m
 from vorlab.cellsim import CellExperimentConfig, run_cell_experiment
 
 from oracles import (
-    sample_w_batch_reference, z_mgf_bounds, zmoment_sums_first_block, zmoment_sums_plain,
+    sample_w_batch_reference, star_mean_d1_mpmath, wk_mc_values_sk, z_mgf_bounds,
+    zmoment_sums_first_block, zmoment_sums_plain, zmoment_sums_sk_control,
 )
+from test_acceptance import ALPHA_D2, ALPHA_D3
 
 
 class TestAlphaClosedFormD1:
@@ -247,7 +252,7 @@ class TestEstimateZMoment:
         est = estimate_z_moment_parallel(1, 3, outer=1000, inner=256, seed=60, workers=2,
                                          stream_index=1)
         n, mean, m2 = _merge(*(moments._zmoment_sums((1, 3, 500, 256, 60, i)) for i in (1, 2)))
-        assert (est.value, est.samples) == (1.0 + mean, n)
+        assert (est.value, est.samples) == (moments._star_mean(1, 3) + mean, n)
         assert est.stderr == Estimate.of((n, mean, m2)).stderr
 
     def test_parallel_workers_reproducible(self):
@@ -263,7 +268,7 @@ class TestEstimateZMoment:
         # one worker runs the single shard in the calling process
         one = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=1)
         n, mean, _ = moments._zmoment_sums((2, 4, 400, DEFAULT_INNER_SAMPLES, 64, 0))
-        assert (one.value, one.samples, n) == (1.0 + mean, 400, 400)
+        assert (one.value, one.samples, n) == (moments._star_mean(2, 4) + mean, 400, 400)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -282,26 +287,39 @@ def _sums_stderr(sums):
 
 
 class TestMomentControl:
-    """The control k! / S_k^k of the k >= 3 estimator, against the plain
-    estimator (tests/oracles.py) on the same draws."""
+    """The star control k! / (1 + sum V_i)^k of the k >= 3 estimator, and
+    the control k! / S_k^k that it replaced, against the plain estimator
+    (both in tests/oracles.py) on the same draws."""
 
     @pytest.mark.parametrize("d", [1, 3, 10])
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_control_mean_is_one(self, d, k):
+        # the replaced control k! / S_k^k, from the oracle copy of wk_mc_values
         s = np.empty(20_000)
-        wk_mc_values(d, k, s.size, 1, RandomStream(66, 10 * d + k), out=s)
+        wk_mc_values_sk(d, k, s.size, 1, RandomStream(66, 10 * d + k), out=s)
         c = math.factorial(k) / s**k
         assert abs(c.mean() - 1.0) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_control_mean_is_c_k(self, d, k):
+        b = np.empty(20_000)
+        wk_mc_values(d, k, b.size, 1, RandomStream(66, 10 * d + k), out=b)
+        c = math.factorial(k) / b**k
+        assert abs(c.mean() - moments._star_mean(d, k)) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
+
     def test_out_keeps_the_values_and_draws(self):
-        a, b = RandomStream(67), RandomStream(67)
-        s = np.full(40, np.nan)
+        a, b, c = RandomStream(67), RandomStream(67), RandomStream(67)
+        s, sk = np.full(40, np.nan), np.full(40, np.nan)
         plain = wk_mc_values(3, 4, 40, 64, a)
         assert np.array_equal(wk_mc_values(3, 4, 40, 64, b, out=s), plain)
-        assert a.random() == b.random()
+        assert np.array_equal(wk_mc_values_sk(3, 4, 40, 64, c, out=sk), plain)
+        assert a.random() == b.random() == c.random()
         assert np.all((s >= 1.0) & (s <= 4.0))
-        # W_k never exceeds the sum of the ball volumes
-        assert np.all(plain.mean(axis=1) <= s * (1 + 1e-12))
+        # the star bound and every mixture value are at most the sum of the
+        # ball volumes
+        assert np.all(s <= sk * (1 + 1e-12))
+        assert np.all(plain.mean(axis=1) <= sk * (1 + 1e-12))
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_cuts_the_stderr_at_d8(self, seed):
@@ -315,8 +333,8 @@ class TestMomentControl:
         args = (2, k, 4000, DEFAULT_INNER_SAMPLES, 68, k)
         new, plain = moments._zmoment_sums(args), zmoment_sums_plain(args)
         assert new[0] == plain[0] == 4000
-        assert abs(1.0 + new[1] - plain[1]) <= 4 * math.hypot(_sums_stderr(new),
-                                                              _sums_stderr(plain))
+        assert abs(moments._star_mean(2, k) + new[1] - plain[1]) <= 4 * math.hypot(
+            _sums_stderr(new), _sums_stderr(plain))
 
 
 class TestBlockBase:
@@ -327,7 +345,9 @@ class TestBlockBase:
     @pytest.mark.parametrize("seed", [7, 8])
     @pytest.mark.parametrize("d, k", [(2, 4), (8, 3)])
     def test_cuts_the_stderr(self, d, k, seed):
-        # the variance falls 1.3x at d = 2, k = 4 and 1.5x at d = 8, k = 3
+        # against the first block with the k! / S_k^k control; on that control
+        # the block mean alone cuts the variance 1.3x at d = 2, k = 4 and
+        # 1.5x at d = 8, k = 3
         args = (d, k, 4000, DEFAULT_INNER_SAMPLES, seed, 2)
         assert _sums_stderr(moments._zmoment_sums(args)) <= 0.95 * _sums_stderr(
             zmoment_sums_first_block(args))
@@ -342,7 +362,102 @@ class TestBlockBase:
         args = (2, k, 4000, DEFAULT_INNER_SAMPLES, 70, k)
         new, old = moments._zmoment_sums(args), zmoment_sums_first_block(args)
         assert new[0] == old[0] == 4000
-        assert abs(new[1] - old[1]) <= 4 * math.hypot(_sums_stderr(new), _sums_stderr(old))
+        # the two subtract controls of means C_k(2) and 1
+        assert abs(moments._star_mean(2, k) + new[1] - 1.0 - old[1]) <= 4 * math.hypot(
+            _sums_stderr(new), _sums_stderr(old))
+
+
+
+class TestStarMean:
+    """C_k(d), the exact mean of the star control, from the product rule."""
+
+    @pytest.mark.parametrize("k", range(3, MAX_FACTORIAL_K + 1))
+    def test_d1_against_mpmath(self, k):
+        assert moments._star_mean(1, k) == pytest.approx(star_mean_d1_mpmath(k), rel=1e-13)
+
+    def test_d1_closed_values(self):
+        assert moments._star_mean(1, 3) == pytest.approx(23 / 8, rel=1e-14)
+        assert moments._star_mean(1, 4) == pytest.approx(20 / 3, rel=1e-14)
+
+    def test_c2_is_alpha(self):
+        assert abs(moments._star_mean(2, 2) - ALPHA_D2) <= 1e-9
+        assert abs(moments._star_mean(3, 2) - ALPHA_D3) <= 1e-11
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20, 100, 435])
+    def test_doubling_the_nodes(self, d):
+        # plain Gauss-Legendre in r misses C_3 by 1.6e-3 at d = 435
+        counts = (moments._R_NODES, moments._THETA_NODES, moments._T_NODES)
+        for k in range(2, MAX_FACTORIAL_K + 1):
+            fine = moments._star_mean(d, k, *(2 * n for n in counts))
+            rel = 1e-9 if k <= 6 else 1e-7
+            assert moments._star_mean(d, k) == pytest.approx(fine, rel=rel)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_against_two_ball_draws(self, d):
+        # V = W - 1 from the exact two-ball sampler, k - 1 of them per draw
+        n = 20_000
+        v = sample_w_batch(d, 5 * n, RandomStream(72, d))[:, 0] - 1.0
+        for k in range(3, 7):
+            c = math.factorial(k) / (1.0 + v[: n * (k - 1)].reshape(n, k - 1).sum(axis=1)) ** k
+            se = c.std(ddof=1) / math.sqrt(n)
+            assert abs(c.mean() - moments._star_mean(d, k)) <= 4 * se
+
+    def test_cached_per_dimension(self):
+        assert moments._star_table(5) is moments._star_table(5)
+        v, w = moments._star_table(5)
+        assert v.shape == w.shape == (moments._R_NODES * moments._THETA_NODES,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14) and np.all(v >= -1e-15)
+
+
+def _star_configs(d, k, n, seed):
+    """The star bounds that wk_mc_values writes for n configurations, with
+    the centers of their k - 1 random balls, replayed from the same stream."""
+    bound = np.empty(n)
+    wk_mc_values(d, k, n, 1, RandomStream(seed, d), out=bound)
+    y = sample_unit_ball_batch(d, n * (k - 1), RandomStream(seed, d)).reshape(n, k - 1, d)
+    return bound, y
+
+
+class TestStarControl:
+    """The k >= 3 estimator with the star control, against the one with the
+    control k! / S_k^k (tests/oracles.py) on the same draws."""
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_bounds_exact_at_d1(self, k):
+        bound, y = _star_configs(1, k, 200, 73)
+        for b, ys in zip(bound, y[..., 0]):
+            w = interval_union_length([(0.0, 2.0), *((c - abs(c), c + abs(c)) for c in ys)]) / 2
+            assert w <= b * (1 + 1e-12)
+            assert b <= (1.0 + np.abs(ys).sum()) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_bounds_at_d2_d5(self, d, k):
+        bound, y = _star_configs(d, k, 20, 74)
+        v = unit_ball_volume(d)
+        rng = RandomStream(75, d)
+        for b, ys in zip(bound, y):
+            r = np.sqrt((ys * ys).sum(axis=1))
+            assert b <= (1.0 + (r**d).sum()) * (1 + 1e-12)
+            balls = [Ball(np.eye(d)[0], 1.0), *(Ball(c, rc) for c, rc in zip(ys, r))]
+            est = union_volume_mc(balls, 20_000, rng)
+            assert est.value / v <= b + 4 * est.stderr / v
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("d, k", [(2, 3), (2, 4), (8, 3), (8, 4)])
+    def test_cuts_the_stderr(self, d, k, seed):
+        # the stderr ratio was 0.44-0.62 on these draws
+        args = (d, k, 4000, DEFAULT_INNER_SAMPLES, seed, 3)
+        assert _sums_stderr(moments._zmoment_sums(args)) <= 0.75 * _sums_stderr(
+            zmoment_sums_sk_control(args))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_agrees_with_sk_control(self, d):
+        for k in (3, 4):
+            args = (d, k, 4000, DEFAULT_INNER_SAMPLES, 76, k)
+            new, old = moments._zmoment_sums(args), zmoment_sums_sk_control(args)
+            assert abs(moments._star_mean(d, k) + new[1] - 1.0 - old[1]) <= 4 * math.hypot(
+                _sums_stderr(new), _sums_stderr(old))
 
 
 def _offset_shard(args):
