@@ -76,8 +76,8 @@ def wk_mc_values(
     Returns shape (n, inner_samples); each row's mean estimates that
     configuration's normalized union volume.  When given, `out` (shape (n,))
     receives each configuration's star bound 1 + sum V_i >= W_k, at no extra
-    draws: V_i = |y_i|^d - L_i is the normalized part of ball i outside the
-    fixed ball, with L_i their exact lens, so 1 + V_i is ball i's W_2.
+    draws: 1 + V_i is the exact union of random ball i with the fixed ball,
+    its W of w_and_lens, so V_i is the part of ball i outside the fixed ball.
     Requires k >= 3 (lower orders are exact and never need inner sampling).
     """
     if k < 3:
@@ -91,12 +91,9 @@ def wk_mc_values(
     radii = np.ones((n, k))
     radii[:, 1:] = np.sqrt(row_sq_norms(centers[:, 1:]))
     v = unit_ball_volume(d)
+    values = union_volume_mc_values(centers, radii, inner_samples, rng) / v
     if out is not None:
-        shifted = centers[:, 1:].copy()
-        shifted[..., 0] -= 1.0
-        vols = radii**d
-        vols[:, 1:] -= ball_intersection_volumes(
-            d, 1.0, radii[:, 1:], np.sqrt(row_sq_norms(shifted))) / v
-        np.sum(vols, axis=1, out=out)
-    return union_volume_mc_values(centers, radii, inner_samples, rng) / v
-
+        w, _ = w_and_lens(centers[:, 1:].reshape(-1, d))
+        np.sum(w.reshape(n, k - 1) - 1.0, axis=1, out=out)
+        out += 1.0
+    return values

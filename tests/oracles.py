@@ -440,9 +440,8 @@ def union_volume_mc_values_reference(centers: np.ndarray, radii: np.ndarray, sam
 
 def zmoment_sums_first_block(args) -> tuple[int, float, float]:
     """moments._zmoment_sums copied verbatim as it was when its base term
-    f_m0 used only the first m0 inner values of each outer draw, with the
-    control k! / S_k^k of wk_mc_values_sk: (count, mean, M2) on the same
-    draws as moments._zmoment_sums for the same args.
+    f_m0 used only the first m0 inner values of each outer draw: (count,
+    mean, M2) on the same draws as moments._zmoment_sums for the same args.
 
     Single-term randomized multilevel estimate of E[k! / W_k^k] - 1.
 
@@ -479,7 +478,7 @@ def zmoment_sums_first_block(args) -> tuple[int, float, float]:
             step = max(1, min(_POINTS_PER_CALL, _COORDS_PER_CALL // d) // m)
             for part in (rows[i : i + step] for i in range(0, rows.size, step)):
                 s = np.empty(part.size)
-                vals = wk_mc_values_sk(d, k, part.size, m, rng, out=s)
+                vals = wk_mc_values(d, k, part.size, m, rng, out=s)
                 first = vals[:, : m // 2].sum(axis=1)
                 second = vals[:, m // 2 :].sum(axis=1)
                 delta = f(first + second, m) - 0.5 * (f(first, m // 2) + f(second, m // 2))
