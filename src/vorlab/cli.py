@@ -9,6 +9,7 @@ import argparse
 import io
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -147,7 +148,7 @@ class ResultRow:
 
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
-# every key but command, which the subcommand sets, is also a flag
+# every key but command, which the positional sets, is also a flag
 _FLAG_KEYS = tuple(key for key in _PARSERS if key != "command")
 
 
@@ -175,7 +176,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def render_config(config: ExperimentConfig) -> str:
-    """Canonical key=value text; parse_config(render_config(c)) == c."""
+    """Canonical key=value text; parse_config(render_config(c)) == c. A value
+    with whitespace or # has no such text: it raises ValueError naming its key."""
     lines = []
     for f in fields(config):
         v = getattr(config, f.name)
@@ -184,6 +186,8 @@ def render_config(config: ExperimentConfig) -> str:
         if isinstance(v, tuple):
             v = ",".join(repr(t) for t in v)
         if v is not None:
+            if re.search(r"[\s#]", v := str(v)):
+                raise ValueError(f"key {f.name!r}: {v!r} contains whitespace or '#'")
             lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"
 
@@ -338,26 +342,24 @@ def write_csv(rows, path: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the flags, shared by the top level and every subcommand; a flag that is
-    # not given sets nothing, so one given before the subcommand is kept and
-    # the later of two wins
-    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    flags.add_argument("--config", metavar="FILE", help="key=value config file")
-    for key in _FLAG_KEYS:
-        flags.add_argument("--" + key.replace("_", "-"), dest=key)
+    # an argument not given sets nothing, so a flag may come before or after
+    # the command; _command checks it, as choices would also check SUPPRESS
     parser = argparse.ArgumentParser(
         prog="vorlab",
         description="Voronoi cell-measure experiments with CSV output",
-        parents=[flags],
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[flags])
+    # a token such as -0.5,0.25 is a value, not a flag (no flag starts -digit)
+    parser._negative_number_matcher = re.compile(r"^-\.?\d")
+    parser.add_argument("command", nargs="?", metavar="{" + ",".join(COMMANDS) + "}")
+    parser.add_argument("--config", metavar="FILE", help="key=value config file")
+    for key in _FLAG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config of the given flags over the --config file's keys."""
+    """The config of the given command and flags over the --config file's keys."""
     given = vars(args)
     mapping: dict = {}
     if "config" in given:
@@ -368,9 +370,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except OSError as e:
             raise ConfigError(f"line 0: key 'config': cannot read {path!r}: {e}") from None
         mapping.update(parse_config_mapping(text))
-    if given.get("command"):
-        mapping["command"] = given["command"]
-    for key in _FLAG_KEYS:
+    for key in _PARSERS:
         if key in given:
             _apply_key(mapping, key, given[key], 0)
     return _build_config(mapping)

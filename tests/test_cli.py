@@ -164,6 +164,12 @@ class TestRenderRoundTrip:
     def test_round_trip(self, cfg):
         assert parse_config(render_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("output", ["my dir/o.csv", "out#1.csv"])
+    def test_refuses_what_the_grammar_cannot_hold(self, output):
+        # the grammar has no quoting: a space splits the pair, a # starts a comment
+        with pytest.raises(ValueError, match="key 'output'"):
+            render_config(ExperimentConfig(command="alpha", output=output))
+
 
 class TestRunCommands:
     def test_alpha_row_carries_bounds(self):
@@ -494,6 +500,30 @@ class TestMainEntry:
         text = capsys.readouterr().out
         for key in ("config", *cli._FLAG_KEYS):
             assert "--" + key.replace("_", "-") in text
+        assert all(name in text for name in COMMANDS)
+
+    def test_unknown_command_names_its_key(self, capsys):
+        # checked by the command key's parser, as command=foo in a file is
+        assert main(["foo"]) == 2
+        assert "key 'command'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["cell", "--dim", "2", "--x", "-0.5,0.25", "--n", "50", "--replicates", "4",
+          "--probes", "200"], "x", (-0.5, 0.25)),
+        (["diam", "--dim", "2", "--t-grid", "-1,2", "--n-grid", "20,40", "--replicates", "4",
+          "--probes", "200"], "t_grid", (-1.0, 2.0)),
+    ])
+    def test_negative_flag_value(self, argv, key, value, capsys):
+        # a value that starts with a minus sign needs no --flag=value form
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(cli._config_from_args(args), key) == value
+        assert main(argv) == 0
+        spaced = _strip_elapsed(capsys.readouterr().out)
+        flag = "--" + key.replace("_", "-")
+        i = argv.index(flag)
+        joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+        assert main(joined) == 0
+        assert _strip_elapsed(capsys.readouterr().out) == spaced
 
 
 def _python(code: str, argv: list[str]) -> str:
