@@ -64,7 +64,9 @@ _DIAM_MAX_D = 5
 # largest replicates * result columns, so that the results do too
 _MAX_ELEMENTS = 1 << 26
 
-# elements of the (block, n, d) difference array built per block of queries
+# elements per block of NNIndex.query: its (block, n, d) difference array
+# takes half, and the squares that row_sq_norms copies above 7 columns the
+# other half
 _BLOCK_ELEMENTS = 1 << 24
 # nearest neighbours of x whose bisectors prefilter the probes, and probes
 # per prefilter block, so that its (neighbours, block) arrays stay in cache
@@ -94,14 +96,6 @@ def _check_elements(key: str, count: int, width: int, of: str = "dim") -> None:
         )
 
 
-def _sq_dist_blocks(q: np.ndarray, pts: np.ndarray):
-    """Yield (start, squared distances from a block of q's rows to every point)."""
-    step = max(1, _BLOCK_ELEMENTS // pts.size)
-    for lo in range(0, q.shape[0], step):
-        block = q[lo : lo + step]
-        yield lo, ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-
-
 class NNIndex:
     """Exact brute-force nearest-neighbor index; ties go to the smallest index."""
 
@@ -121,9 +115,10 @@ class NNIndex:
         if q.shape[1] != self.points.shape[1]:
             raise ValueError("query dimension does not match the index")
         out = np.empty(q.shape[0], dtype=np.intp)
-        for lo, d2 in _sq_dist_blocks(q, self.points):
+        step = max(1, _BLOCK_ELEMENTS // (2 * self.points.size))
+        for lo in range(0, q.shape[0], step):
             # argmin returns the first minimum, i.e. the smallest index
-            out[lo : lo + d2.shape[0]] = np.argmin(d2, axis=1)
+            out[lo : lo + step] = np.argmin(row_sq_norms(q[lo : lo + step, None] - self.points), 1)
         return out
 
 

@@ -348,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vorlab",
         description="Voronoi cell-measure experiments with CSV output",
         argument_default=argparse.SUPPRESS,
+        exit_on_error=False,
     )
     # a token such as -0.5,0.25 is a value, not a flag (no flag starts -digit)
     parser._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -392,12 +393,14 @@ def parse_config_mapping(text: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # with exit_on_error=False, argparse's errors and leftovers are config errors
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(extra)}")
         config = _config_from_args(args)
         rows = run(config)
         write_csv(rows, config.output)
-    except ConfigError as e:
+    except (ConfigError, argparse.ArgumentError) as e:
         print(f"vorlab: config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - boundary of the process

@@ -52,12 +52,12 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms along the last axis of v.
 
     numpy's reduction over a short last axis is several times slower than
-    one pass per column, so up to _ROW_LOOP_MAX_D columns the squares are
-    summed column by column, left to right: numpy's own order for fewer
-    than 8 terms.  Wider rows use numpy's pairwise reduction, which is
-    faster there, on blocks of _NORM_ROWS rows of the first axis, so that
-    the squares never fill a second array of v's size.  Either way the
-    result equals (v * v).sum(axis=-1) bit for bit.
+    one pass per column, so up to _ROW_LOOP_MAX_D columns _pairwise_sum
+    adds the squares one column at a time, in numpy's order.  Wider rows
+    use numpy's pairwise reduction, which is faster there, on blocks of
+    _NORM_ROWS rows of the first axis, so that the squares never fill a
+    second array of v's size.  Either way the result equals
+    (v * v).sum(axis=-1) bit for bit.
     """
     if v.shape[-1] > _ROW_LOOP_MAX_D:
         if v.ndim == 1:
@@ -66,11 +66,7 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
         for i in range(0, len(v), _NORM_ROWS):
             out[i : i + _NORM_ROWS] = np.square(v[i : i + _NORM_ROWS]).sum(axis=-1)
         return out
-    out = np.square(v[..., 0])
-    tmp = np.empty_like(out)
-    for j in range(1, v.shape[-1]):
-        out += np.square(v[..., j], out=tmp)
-    return out
+    return _pairwise_sum(lambda j: np.square(v[..., j]), v.shape[-1])
 
 
 def check_dim(d) -> None:

@@ -134,15 +134,20 @@ class DensityModel:
             return rng.standard_normal((n, d))
         return self.scale * (rng.random((n, d)) - 0.5)
 
+    def _gap(self, points: np.ndarray) -> np.ndarray:
+        """The distance from each row of an (m, d) array to the support, 0
+        on it: the one rule of support_contains, pdf and pdf_max."""
+        if self.kind == "uniform-ball":
+            return np.maximum(np.sqrt(row_sq_norms(points)) - self.scale, 0.0)
+        if self.kind == "uniform-cube":
+            return np.sqrt(row_sq_norms(np.maximum(np.abs(points) - self.scale / 2, 0.0)))
+        return np.zeros(len(points))
+
     def support_contains(self, x) -> bool:
         x = as_point(x)
         if x.size != self.dimension:
             raise ValueError("point dimension does not match the model")
-        if self.kind == "uniform-ball":
-            return bool(np.linalg.norm(x) <= self.scale)
-        if self.kind == "uniform-cube":
-            return bool(np.all(np.abs(x) <= self.scale / 2))
-        return True
+        return bool(self._gap(x[None])[0] == 0.0)
 
     def _peak(self) -> float:
         """The density's largest value; 0 or inf beyond the range of a double."""
@@ -156,13 +161,9 @@ class DensityModel:
     def pdf(self, points) -> np.ndarray:
         """The density at each row of an (m, d) array of points."""
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
-        if self.kind == "uniform-ball":
-            inside = np.sqrt(row_sq_norms(pts)) <= self.scale
-        elif self.kind == "uniform-cube":
-            inside = np.all(np.abs(pts) <= self.scale / 2, axis=1)
-        else:
+        if self.kind == "gaussian":
             return self._peak() * np.exp(-0.5 * row_sq_norms(pts))
-        return np.where(inside, self._peak(), 0.0)
+        return np.where(self._gap(pts) == 0.0, self._peak(), 0.0)
 
     def pdf_max(self, center, radius: float) -> float:
         """The largest value of the density on the closed ball B(center, radius)."""
@@ -171,16 +172,11 @@ class DensityModel:
             raise ValueError("center dimension does not match the model")
         if not radius >= 0:
             raise ValueError("radius must be >= 0")
-        if self.kind == "uniform-cube":
-            outside = np.maximum(np.abs(center) - self.scale / 2, 0.0)
-            meets = float(np.linalg.norm(outside)) <= radius
-        else:
+        if self.kind == "gaussian":
             # distance from the origin to the ball
-            gap = max(float(np.linalg.norm(center)) - radius, 0.0)
-            if self.kind == "gaussian":
-                return self._peak() * math.exp(-0.5 * gap * gap)
-            meets = gap <= self.scale
-        return self._peak() if meets else 0.0
+            gap = max(math.sqrt(row_sq_norms(center)) - radius, 0.0)
+            return self._peak() * math.exp(-0.5 * gap * gap)
+        return self._peak() if self._gap(center[None])[0] <= radius else 0.0
 
     def ball_measure_batch(self, center, radii) -> np.ndarray:
         """mu(B(center, r)) for an array of radii r; exact, and for the

@@ -56,10 +56,12 @@ class TestNNIndex:
         pts = np.array([[1.0], [-1.0]])
         assert NNIndex(pts).query([[0.0]]).tolist() == [0]
 
-    def test_brute_memory_bounded_per_block(self):
-        # blocks are sized by n * d, so a (block, n, d) difference array
-        # never exceeds the block budget, whatever d is
-        pts = np.random.default_rng(6).standard_normal((2000, 8))
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_brute_memory_bounded_per_block(self, d):
+        # blocks are sized by n * d, so a (block, n, d) difference array, and
+        # the copy of its squares that row_sq_norms makes above 7 columns,
+        # never exceed the block budget, whatever d is
+        pts = np.random.default_rng(6).standard_normal((2000, d))
         for run in (lambda: NNIndex(pts).query(pts), lambda: _max_pairwise_distance(pts)):
             tracemalloc.start()
             try:

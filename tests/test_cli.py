@@ -405,8 +405,27 @@ class TestMainEntry:
             "vorlab: config error: line 0: key 'x': has 1 coordinates for dim=2\n"
         )
 
-    def test_unknown_command_is_config_error(self, capsys):
+    def test_unknown_command_is_config_error(self, tmp_path, capsys):
+        # command= in a file is checked by the same parser as the positional
+        f = tmp_path / "cfg.txt"
+        f.write_text("command=foo dim=2\n")
+        assert main(["--config", str(f)]) == 2
+        assert "line 1: key 'command': unknown command 'foo'" in capsys.readouterr().err
+
+    def test_missing_config_file_is_config_error(self, capsys):
         assert main(["--config", "/nonexistent/config.txt"]) == 2
+        assert "key 'config'" in capsys.readouterr().err
+
+    # argparse's own errors: main returns 2 and names the argument, rather
+    # than argparse raising SystemExit
+    @pytest.mark.parametrize("argv, named", [
+        (["alpha", "--frobs", "3"], "unrecognized arguments: --frobs 3"),
+        (["alpha", "--dim"], "argument --dim: expected one argument"),
+        (["alpha", "zmoments"], "unrecognized arguments: zmoments"),
+    ], ids=["unknown-flag", "missing-value", "extra-positional"])
+    def test_argparse_error_exit_two(self, argv, named, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"vorlab: config error: {named}\n"
 
     def test_runtime_error_exit_three(self, monkeypatch, capsys):
         # the config is valid, so only the run itself can fail

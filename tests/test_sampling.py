@@ -212,7 +212,46 @@ def _nearest_peak_point(model: DensityModel, center, radius: float) -> np.ndarra
     return center * (1.0 - min(radius, norm) / norm)
 
 
+def _support_tests_agree(model: DensityModel, points: np.ndarray) -> np.ndarray:
+    """Check that support_contains(p), pdf(p) > 0 and pdf_max(p, 0) > 0 agree
+    on every row p of points; the mask of the rows in the support."""
+    inside = np.array([model.support_contains(p) for p in points])
+    assert np.array_equal(model.pdf(points) > 0, inside)
+    assert np.array_equal([model.pdf_max(p, 0.0) > 0 for p in points], inside)
+    return inside
+
+
+# |x| rounds to at most 1 through a BLAS dot, but not through row_sq_norms
+_ON_THE_CIRCLE = [-0.2051315157116406, 0.9787344181451091]
+
+
 class TestDensityPdf:
+    # a point on the boundary lies in the support or not by a rounding, which
+    # the support test, the density and its supremum must make alike
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_support_tests_agree_on_the_sphere(self, d):
+        g = RandomStream(72, d).standard_normal((2000, d))
+        sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
+        for radius in (1.0, 2.5):
+            inside = _support_tests_agree(uniform_ball(d, radius), radius * sphere)
+            assert 0 < inside.sum() < len(sphere)  # both roundings occur
+
+    def test_support_tests_agree_on_a_known_point(self):
+        assert not _support_tests_agree(uniform_ball(2), np.array([_ON_THE_CIRCLE])).any()
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_support_tests_agree_on_the_cube_faces(self, d):
+        side = 0.7
+        pts = side * (RandomStream(73, d).random((2000, d)) - 0.5)
+        # one coordinate of each point on a face, then one ulp out of it
+        rows, face = np.arange(len(pts)), np.arange(len(pts)) % d
+        pts[rows, face] = np.where(rows % 2, side / 2, -side / 2)
+        out = pts.copy()
+        out[rows, face] = np.nextafter(pts[rows, face], np.sign(pts[rows, face]) * math.inf)
+        model = uniform_cube(d, side)
+        assert _support_tests_agree(model, pts).all()
+        assert not _support_tests_agree(model, out).any()
+
     @pytest.mark.parametrize("kind", sorted(_MODELS))
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_pdf_max_bounds_pdf_and_is_attained(self, kind, d):
