@@ -277,7 +277,7 @@ def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
     for i in range(1, config.replicates + 1):
         t0 = time.perf_counter()
         rng = sampling.RandomStream(config.seed, i)
-        m = 3 if d == 1 else 2  # three random intervals, or two random balls
+        m = 3 if d <= 2 else 2  # three random intervals or disks, or two random balls
         radii = [0.1 + 0.9 * rng.random()]
         centers = [rng.random(d) * 2.0 - 1.0]
         for _ in range(1, m):
@@ -292,10 +292,8 @@ def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
             radii.append(r1)
             centers.append(centers[-1] + dist * g / np.linalg.norm(g))
         balls = [geometry.Ball(c, r) for c, r in zip(centers, radii)]
-        if d == 1:  # exact sweep oracle
-            oracle = geometry.interval_union_length(
-                [(c[0] - r, c[0] + r) for c, r in zip(centers, radii)]
-            )
+        if d <= 2:  # exact sweep or boundary-arc oracle
+            oracle = float(geometry.exact_union_volumes([centers], [radii])[0])
         else:  # exact two-cap oracle
             oracle = geometry.two_ball_union_volume(*balls)
         mc = geometry.union_volume_mc(balls, config.samples, rng)
@@ -341,14 +339,21 @@ def write_csv(rows, path: str | None) -> None:
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ArgumentError instead of exiting:
+    unknown and ambiguous flags and leftover arguments included."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # an argument not given sets nothing, so a flag may come before or after
     # the command; _command checks it, as choices would also check SUPPRESS
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vorlab",
         description="Voronoi cell-measure experiments with CSV output",
         argument_default=argparse.SUPPRESS,
-        exit_on_error=False,
     )
     # a token such as -0.5,0.25 is a value, not a flag (no flag starts -digit)
     parser._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -393,11 +398,8 @@ def parse_config_mapping(text: str) -> dict:
 
 
 def main(argv=None) -> int:
-    try:  # with exit_on_error=False, argparse's errors and leftovers are config errors
-        args, extra = build_parser().parse_known_args(argv)
-        if extra:
-            raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(extra)}")
-        config = _config_from_args(args)
+    try:  # argparse's errors, leftover arguments included, are config errors
+        config = _config_from_args(build_parser().parse_args(argv))
         rows = run(config)
         write_csv(rows, config.output)
     except (ConfigError, argparse.ArgumentError) as e:

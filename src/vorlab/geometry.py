@@ -2,8 +2,9 @@
 
 The exact two-ball machinery (cap volumes through the regularized incomplete
 beta function, evaluated from elementary functions) is the computational
-substrate for everything downstream; the mixture Monte Carlo estimator covers
-unions of three or more balls, where no closed form is attempted.
+substrate for everything downstream.  Unions of any number of balls are exact
+at d <= 2 (a sweep, or Green's theorem over boundary arcs); above, the mixture
+Monte Carlo estimator covers unions of three or more balls.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "two_ball_union_volume",
     "union_volume_mc",
     "union_volume_mc_values",
+    "exact_union_volumes",
     "interval_union_length",
 ]
 
@@ -414,6 +416,96 @@ def union_volume_mc(balls, samples: int, rng) -> Estimate:
         values = union_volume_mc_values(centers, radii, min(chunk, m - start), rng)[0]
         acc = _merge(acc, _stats(values))
     return Estimate.of(acc)
+
+
+# elements of one temporary of exact_union_volumes: 64 KiB of floats, below
+# glibc's 128 KiB mmap threshold, so blocks reuse heap memory
+_EXACT_ELEMS = 1 << 13
+
+
+def _exact_block_rows(k: int) -> int:
+    """Sets of k balls per block, so that a (sets, k, 2k + 1) array fits _EXACT_ELEMS."""
+    return max(1, _EXACT_ELEMS // (k * (2 * k + 1)))
+
+
+def _interval_union_lengths(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sorted sweep: an interval adds its part right of those starting before it."""
+    lo, hi = c[..., 0] - r, c[..., 0] + r
+    order = np.argsort(lo, axis=1)
+    lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    lo[:, 1:] = np.maximum(lo[:, 1:], np.maximum.accumulate(hi, axis=1)[:, :-1])
+    return np.maximum(hi - lo, 0.0).sum(axis=1)
+
+
+def _disk_union_areas(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Green's theorem over the boundary arcs that no other disk covers."""
+    n, k = r.shape
+    dx = c[:, None, :, 0] - c[:, :, None, 0]  # [s, i, j]: from center i to center j
+    dy = c[:, None, :, 1] - c[:, :, None, 1]
+    dist = np.hypot(dx, dy)
+    ri, rj = r[:, :, None], r[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (ri * ri + dist * dist - rj * rj) / (2.0 * ri * dist)
+        ex, ey = dx / dist, dy / dist
+    # disk j holds circle i where cos <= -1; of coincident disks (0/0) the
+    # earlier holds the later, and the diagonal holds nothing
+    holds = (cos <= -1.0) | (np.isnan(cos) & np.tri(k, k, -1, dtype=bool))
+    # disk j covers the arc of circle i from phi - h to phi + h, phi the
+    # direction (ex, ey) to c_j and cos h = cos; elsewhere a point arc at
+    # angle 0, whose delta below is 0
+    partial = (cos > -1.0) & (cos < 1.0)
+    ch = np.where(partial, cos, 1.0)
+    ex, ey = np.where(partial, ex, 1.0), np.where(partial, ey, 0.0)
+    half = np.arccos(ch)
+    start = np.arctan2(ey, ex) - half  # in [-2 pi, pi]
+    start[start < 0.0] += 2.0 * math.pi
+    stop = start + 2.0 * half
+    wraps = stop >= 2.0 * math.pi
+    stop[wraps] -= 2.0 * math.pi
+    # 2 F(t) = r (c x u) + r^2 t at the arc ends u = (cos t, sin t); with
+    # e = (ex, ey), c x u = (c x e) cos h -+ (c . e) sin h at phi -+ h
+    cx, cy = c[:, :, None, 0], c[:, :, None, 1]
+    cross = (cx * ey - cy * ex) * ch
+    dot = (cx * ex + cy * ey) * np.sqrt(1.0 - ch * ch)
+    ends = np.concatenate((start, stop), axis=2)
+    f = r[..., None] * np.concatenate((cross - dot, cross + dot), axis=2)
+    f += (r * r)[..., None] * ends
+    delta = partial.view(np.int8)
+    delta = np.concatenate((delta, -delta), axis=2)
+    # the ends in angle order, as flat positions of the (n, k, 2k) arrays
+    order = np.argsort(ends, axis=2)
+    order += np.arange(0, order.size, 2 * k).reshape(n, k, 1)
+    # the arcs over each segment from an arc end to the next one (or 2 pi):
+    # those that cover angle 0, then the running sum of +-1 deltas; tied
+    # ends bound segments of length 0
+    covered = np.count_nonzero(holds | wraps, axis=2)[..., None] + np.cumsum(
+        delta.ravel()[order], axis=2)
+    f_end = 2.0 * math.pi * r * r - r * c[..., 1]
+    gain = np.diff(np.concatenate((f.ravel()[order], f_end[..., None]), axis=2), axis=2)
+    return 0.5 * np.where(covered == 0, gain, 0.0).sum(axis=(1, 2))
+
+
+def exact_union_volumes(centers, radii) -> np.ndarray:
+    """Exact volumes, shape (nsets,), of the unions of the k balls of each
+    set at d <= 2: ``centers`` (nsets, k, d), ``radii`` (nsets, k).
+
+    d = 1 is a sorted sweep.  d = 2 sums F(b) - F(a), F(t) = (r c_x sin t -
+    r c_y cos t + r^2 t) / 2, over the arcs [a, b] of each circle that no
+    other disk covers (Green's theorem; Avis, Bhattacharya and Imai 1988;
+    Cazals, Kanhere and Loriot 2011).  Of coincident disks the first counts.
+    Sets run in blocks of _exact_block_rows(k).
+    """
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    nsets, k, d = centers.shape
+    if d > 2:
+        raise ValueError(f"exact union volumes are for d <= 2, got d={d}")
+    kernel = _interval_union_lengths if d == 1 else _disk_union_areas
+    out = np.empty(nsets)
+    step = _exact_block_rows(k)
+    for i in range(0, nsets, step):
+        out[i : i + step] = kernel(centers[i : i + step], radii[i : i + step])
+    return out
 
 
 def interval_union_length(intervals) -> float:

@@ -4,13 +4,14 @@ The asymptotic second moment alpha(d) is the mean of 2 / W^2 under the exact
 two-ball sampler, estimated as 1 plus the mean of its excess over the control
 2 / (1 + |Y|^d)^2, which has mean exactly 1, so its error shrinks with
 alpha(d) - 1.  The k-th limiting moment is the mean of k! / W_k^k.  For
-k >= 3, where W_k itself is Monte Carlo estimated, a randomized multilevel
-estimator (Rhee and Glynn 2015; Blanchet and Glynn 2015) removes the
-plug-in bias of w -> k! / w^k, up to O(1/inner^2) for a cap of `inner`
-inner draws, and subtracts the star control k! / (1 + V_1 + ... + V_(k-1))^k,
-with 1 + V_i the exact union of random ball i with the fixed ball, which
-W_k tends to as d grows.  Its mean C_k(d) comes from a product Gauss rule
-(Golub and Welsch 1969) over the law of one V_i and a Laplace integral.
+k >= 3, W_k is exact at d <= 2, with no inner draws.  At d >= 3, where W_k
+itself is Monte Carlo estimated, a randomized multilevel estimator (Rhee and
+Glynn 2015; Blanchet and Glynn 2015) removes the plug-in bias of
+w -> k! / w^k, up to O(1/inner^2) for a cap of `inner` inner draws.  Both
+subtract the star control k! / (1 + V_1 + ... + V_(k-1))^k, with 1 + V_i
+the exact union of random ball i with the fixed ball, which W_k tends to as
+d grows.  Its mean C_k(d) comes from a product Gauss rule (Golub and
+Welsch 1969) over the law of one V_i and a Laplace integral.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .geometry import (
-    _NO_STATS, Estimate, _merge, _stats, ball_intersection_volumes, check_dim, unit_ball_volume,
+    _NO_STATS, Estimate, _exact_block_rows, _merge, _stats, ball_intersection_volumes, check_dim,
+    unit_ball_volume,
 )
 from .sampling import RandomStream, check_seed, shard_ranges
-from .wstat import _BLOCK, DEFAULT_INNER_SAMPLES, sample_w_batch, wk_mc_values
+from .wstat import _BLOCK, DEFAULT_INNER_SAMPLES, sample_w_batch, wk_exact_values, wk_mc_values
 
 __all__ = [
     "MomentBounds",
@@ -238,6 +240,28 @@ def _star_mean(d: int, k: int, nr: int = _R_NODES, nth: int = _THETA_NODES,
 
 
 def _zmoment_sums(args) -> tuple[int, float, float]:
+    """(count, mean, M2) of the k >= 3 draws' excess over the star control:
+    _zmoment_exact at d <= 2, _zmoment_multilevel above, on the same args."""
+    return (_zmoment_exact if args[0] <= 2 else _zmoment_multilevel)(args)
+
+
+def _zmoment_exact(args) -> tuple[int, float, float]:
+    """k! / W_k^k - k! / B^k, of mean E[k! / W_k^k] - C_k(d), with W_k exact
+    and B the star bound from wk_exact_values; drawn in blocks of
+    _exact_block_rows(k), so no array grows with `outer`.  `inner` is unused."""
+    d, k, outer, _, seed, stream_index = args
+    rng = RandomStream(seed, stream_index)
+    kf = _factorial(k)
+    step = _exact_block_rows(k)
+    acc = _NO_STATS
+    for start in range(0, outer, step):
+        bound = np.empty(min(step, outer - start))
+        w = wk_exact_values(d, k, bound.size, rng, out=bound)
+        acc = _merge(acc, _stats(kf / w**k - kf / bound**k))
+    return acc
+
+
+def _zmoment_multilevel(args) -> tuple[int, float, float]:
     """Single-term randomized multilevel estimate of E[k! / W_k^k] - C_k(d).
 
     Each outer draw picks a level l with one uniform and runs
@@ -322,19 +346,22 @@ def estimate_z_moment_parallel(
 ) -> Estimate:
     """Mean of k! / W_k^k over `outer` draws of the order-k union volume.
 
-    k = 1 is exactly 1; k = 2 uses the exact two-ball sampler; k >= 3 uses a
-    randomized multilevel estimator over mixture-estimator draws, less the
-    star control k! / (1 + V_1 + ... + V_(k-1))^k, where 1 + V_i is the
-    exact union of random ball i with the fixed ball, plus the control's
-    mean C_k(d) from a product Gauss rule, computed in the calling process
-    before the shards run; its error shrinks as W_k concentrates on the
-    star bound with growing d.
+    k = 1 is exactly 1; k = 2 uses the exact two-ball sampler; k >= 3 uses
+    exact W_k at d <= 2 and, above, a randomized multilevel estimator over
+    mixture-estimator draws, either less the star control
+    k! / (1 + V_1 + ... + V_(k-1))^k, where 1 + V_i is the exact union of
+    random ball i with the fixed ball, plus the control's mean C_k(d) from
+    a product Gauss rule, computed in the calling process before the
+    shards run; its error shrinks as W_k concentrates on the star bound
+    with growing d.
     `inner` (2..MAX_INNER_SAMPLES) caps the inner draws of one
-    configuration; the estimator spends about 66 of them per outer draw at
-    the default cap, and its bias is O(1/inner^2).  The standard error covers
-    both the outer and the inner variation.  Streams and their merge are
-    those of estimate_alpha_parallel.  `pool`, from shard_pool(workers,
-    outer), lets the estimates of several k share one process pool.
+    configuration at d >= 3; the estimator spends about 66 of them per
+    outer draw at the default cap, and its bias is O(1/inner^2).  At
+    d <= 2 it is checked but has no effect, and the estimate is unbiased.
+    The standard error covers both the outer and the inner variation.
+    Streams and their merge are those of estimate_alpha_parallel.  `pool`,
+    from shard_pool(workers, outer), lets the estimates of several k share
+    one process pool.
     """
     return _z_moment(d, k, outer, inner, seed, stream_index, workers, pool)
 

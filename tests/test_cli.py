@@ -422,10 +422,16 @@ class TestMainEntry:
         (["alpha", "--frobs", "3"], "unrecognized arguments: --frobs 3"),
         (["alpha", "--dim"], "argument --dim: expected one argument"),
         (["alpha", "zmoments"], "unrecognized arguments: zmoments"),
-    ], ids=["unknown-flag", "missing-value", "extra-positional"])
+        (["alpha", "--s", "3"], "ambiguous option: --s could match --samples, --seed"),
+    ], ids=["unknown-flag", "missing-value", "extra-positional", "ambiguous-flag"])
     def test_argparse_error_exit_two(self, argv, named, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"vorlab: config error: {named}\n"
+
+    def test_unambiguous_prefix_is_its_flag(self, capsys):
+        assert main(["alpha", "--sam", "5000", "--dim", "1", "--se", "3"]) == 0
+        (row,) = rows_from_csv(capsys.readouterr().out)
+        assert (row.samples, row.seed) == (5000, 3)
 
     def test_runtime_error_exit_three(self, monkeypatch, capsys):
         # the config is valid, so only the run itself can fail

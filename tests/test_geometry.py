@@ -15,6 +15,8 @@ from vorlab.geometry import (
     _stats,
     ball_intersection_volume,
     ball_intersection_volumes,
+    _exact_block_rows,
+    exact_union_volumes,
     interval_union_length,
     row_sq_norms,
     two_ball_union_volume,
@@ -27,9 +29,11 @@ from vorlab.sampling import RandomStream, sample_unit_ball_batch
 import oracles
 from oracles import (
     ball_volume_gamma,
+    disk_union_area_chords,
     hit_or_miss_union,
     lens_volume_quad,
     random_rotation,
+    two_disk_union_area_mpmath,
     union_volume_mc_values_reference,
 )
 
@@ -551,3 +555,108 @@ class TestIntervalUnionLength:
             assert max(hi - lo) - 1e-12 <= total <= (hi - lo).sum() + 1e-12
             shuffled = [ivals[i] for i in rng.permutation(k)]
             assert interval_union_length(shuffled) == total
+
+
+# degenerate disk sets: (centers, radii)
+_DEGENERATE_DISKS = {
+    "nested": ([[0.0, 0.0], [0.2, 0.1], [0.5, 0.0]], [1.0, 0.5, 0.3]),
+    "coincident": ([[0.3, 0.2], [0.3, 0.2], [1.0, 0.2]], [0.8, 0.8, 0.6]),
+    "tangent-outside": ([[0.0, 0.0], [1.5, 0.0], [0.0, 1.25]], [1.0, 0.5, 0.25]),
+    "tangent-inside": ([[0.0, 0.0], [0.5, 0.0], [-0.25, 0.3]], [1.0, 0.5, 0.6]),
+    # every circle of an order-k configuration passes through the origin
+    "through-one-point": ([[1.0, 0.0], [0.0, 0.6], [-0.4, 0.0], [0.3, -0.4]],
+                          [1.0, 0.6, 0.4, 0.5]),
+    "zero-radius": ([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0]], [1.0, 0.0, 0.0]),
+}
+
+
+def _random_disks(rng, k):
+    """k disks that overlap in chains: centers in [-1, 1]^2, radii in [0.2, 1]."""
+    return rng.uniform(-1.0, 1.0, (k, 2)), rng.uniform(0.2, 1.0, k)
+
+
+class TestExactUnionVolumes:
+    def test_two_disks_match_two_ball_union(self):
+        rng = np.random.default_rng(80)
+        c, r = rng.uniform(-1.0, 1.0, (2000, 2, 2)), rng.uniform(0.01, 1.0, (2000, 2))
+        got = exact_union_volumes(c, r)
+        exact = [two_disk_union_area_mpmath(a, ra, b, rb) for (a, b), (ra, rb) in zip(c, r)]
+        assert np.allclose(got, exact, rtol=1e-14, atol=0.0)
+        # the two-cap formula itself is off by up to 1.0e-13 here (against
+        # the 40-digit lens), where a cap is thin: x = 1 - (h/r)^2 cancels
+        caps = [two_ball_union_volume(Ball(a, ra), Ball(b, rb)) for (a, b), (ra, rb) in zip(c, r)]
+        assert np.allclose(got, caps, rtol=2e-13, atol=0.0)
+
+    def test_d1_matches_interval_sweep(self):
+        rng = np.random.default_rng(81)
+        for k in range(1, 7):
+            c, r = rng.uniform(-1.0, 1.0, (200, k, 1)), rng.uniform(0.0, 1.0, (200, k))
+            r[:, 0] = 0.0  # a point interval in every set
+            got = exact_union_volumes(c, r)
+            for g, cs, rs in zip(got, c[..., 0], r):
+                assert g == pytest.approx(interval_union_length(zip(cs - rs, cs + rs)),
+                                          rel=0.0, abs=4e-15)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_random_sets_match_chord_oracle(self, k):
+        rng = np.random.default_rng(82 + k)
+        for _ in range(4):
+            c, r = _random_disks(rng, k)
+            area, bound = disk_union_area_chords(c, r)
+            assert abs(exact_union_volumes([c], [r])[0] - area) <= bound
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_random_sets_match_mixture_estimator(self, k):
+        rng = np.random.default_rng(90 + k)
+        for i in range(4):
+            c, r = _random_disks(rng, k)
+            est = union_volume_mc([Ball(a, b) for a, b in zip(c, r)], 1 << 16,
+                                  RandomStream(91, 10 * k + i))
+            assert abs(exact_union_volumes([c], [r])[0] - est.value) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE_DISKS))
+    def test_degenerate_sets(self, case):
+        c, r = (np.array(v, dtype=float) for v in _DEGENERATE_DISKS[case])
+        got = exact_union_volumes([c], [r])[0]
+        area, bound = disk_union_area_chords(c, r)
+        assert abs(got - area) <= bound
+        est = union_volume_mc([Ball(a, b) for a, b in zip(c, r)], 1 << 16, RandomStream(92))
+        # coincident and nested sets can leave every draw the same value
+        assert abs(got - est.value) <= 4 * est.stderr + 1e-12 * got
+
+    def test_closed_values(self):
+        # a disk with a copy of itself and a disk inside it; two disjoint
+        # unit disks with a zero disk between them
+        assert exact_union_volumes([[[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]],
+                                   [[1.0, 1.0, 0.5]])[0] == pytest.approx(math.pi, rel=1e-15)
+        assert exact_union_volumes([[[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]],
+                                   [[1.0, 1.0, 0.0]])[0] == pytest.approx(2 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_give_each_set_its_own_value(self, d):
+        # more sets than one block holds; each set's value is that of the
+        # set alone, bit for bit
+        k = 4
+        rng = np.random.default_rng(93)
+        n = 2 * _exact_block_rows(k) + 5
+        c, r = rng.uniform(-1.0, 1.0, (n, k, d)), rng.uniform(0.0, 1.0, (n, k))
+        got = exact_union_volumes(c, r)
+        assert np.array_equal(got, [exact_union_volumes(a[None], b[None])[0]
+                                    for a, b in zip(c, r)])
+
+    def test_memory_bounded_in_sets(self):
+        # 20000 sets of 6 disks: one (sets, k, 2k + 1) temporary of the
+        # whole batch would be 12.5 MB; a block's is 64 KiB
+        rng = np.random.default_rng(94)
+        c, r = rng.uniform(-1.0, 1.0, (20000, 6, 2)), rng.uniform(0.2, 1.0, (20000, 6))
+        tracemalloc.start()
+        try:
+            exact_union_volumes(c, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_rejects_d3(self):
+        with pytest.raises(ValueError, match="d <= 2"):
+            exact_union_volumes(np.zeros((1, 3, 3)), np.ones((1, 3)))

@@ -66,9 +66,12 @@ CASES = {
     "alpha-d21": ["alpha", "--dim", "21", "--samples", "2e4", "--seed", "61"],
     "zmoments-d8": ["zmoments", "--dim", "8", "--k-max", "3", "--samples", "200",
                     "--inner-samples", "256", "--seed", "41"],
-    # the multilevel estimator (k = 3) sharded over a shared pool of 3 workers
+    # k = 3 sharded over a shared pool of 3 workers: with W_k exact (d = 2),
+    # and by the multilevel estimator (d = 3)
     "zmoments-pool": ["zmoments", "--dim", "2", "--k-max", "3", "--samples", "40",
                       "--inner-samples", "64", "--workers", "3", "--seed", "17"],
+    "zmoments-pool-d3": ["zmoments", "--dim", "3", "--k-max", "3", "--samples", "40",
+                         "--inner-samples", "64", "--workers", "3", "--seed", "17"],
     "cell-d8": ["cell", "--dim", "8", "--n", "500", "--replicates", "20", "--probes", "2000",
                 "--seed", "41"],
 }

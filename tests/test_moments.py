@@ -34,6 +34,14 @@ from oracles import (
 from test_acceptance import ALPHA_D2, ALPHA_D3
 
 
+@pytest.fixture
+def multilevel(monkeypatch):
+    """The k >= 3 estimator through its multilevel body at every d, as it
+    ran at d <= 2 before W_k was exact there: the d = 1 closed forms are
+    that body's exact unbiasedness oracle."""
+    monkeypatch.setattr(moments, "_zmoment_sums", moments._zmoment_multilevel)
+
+
 class TestAlphaClosedFormD1:
     def test_elementary_integral(self):
         # 1 + int_0^1 du / (1 + u)^2 = 3/2
@@ -198,20 +206,20 @@ class TestEstimateZMoment:
         est = estimate_z_moment_parallel(1, 3, outer=4000, inner=1024, seed=57)
         assert abs(est.value - 3.0) <= 4 * est.stderr
 
-    def test_small_cap_richardson_is_unbiased(self):
+    def test_small_cap_richardson_is_unbiased(self, multilevel):
         # plug-in bias at a cap of 64 inner draws would be visible; counting
         # the top level's correction twice cancels it
         est = estimate_z_moment_parallel(1, 3, outer=8000, inner=64, seed=58)
         assert abs(est.value - 3.0) <= 4 * est.stderr
 
-    def test_top_level_doubling_cancels_truncation_bias(self):
+    def test_top_level_doubling_cancels_truncation_bias(self, multilevel):
         # at a cap of 64 the truncated estimator without the doubled top-level
         # correction is about 8 stderr high here
         est = estimate_z_moment_parallel(1, 4, outer=100_000, inner=64, seed=58, stream_index=14)
         assert abs(est.value - 7.5) <= 4 * est.stderr
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_unbiased_against_d1_closed_form(self, k):
+    def test_unbiased_against_d1_closed_form(self, k, multilevel):
         # 3x the precision of the criterion-06 fixture (15000 draws): the
         # multilevel draws have up to 1.64x the jackknife's variance at d=1
         est = estimate_z_moment_parallel(1, k, outer=225_000, seed=58, stream_index=k)
@@ -224,7 +232,7 @@ class TestEstimateZMoment:
         assert 1 <= m0 <= moments._M0 and top <= inner < 2 * top
         assert p.sum() == pytest.approx(1.0, abs=1e-15) and np.all(np.diff(p) < 0)
 
-    def test_level_calls_bounded(self, monkeypatch):
+    def test_level_calls_bounded(self, monkeypatch, multilevel):
         # the points cap binds at d = 2, the coordinates cap at d = 20 and 200
         calls = []
 
@@ -248,20 +256,20 @@ class TestEstimateZMoment:
             b = z_moment_bounds(d, k)
             assert b.lower - 4 * est.stderr <= est.value <= b.upper + 4 * est.stderr
 
-    def test_shards_start_at_stream_index(self):
+    def test_shards_start_at_stream_index(self, multilevel):
         est = estimate_z_moment_parallel(1, 3, outer=1000, inner=256, seed=60, workers=2,
                                          stream_index=1)
         n, mean, m2 = _merge(*(moments._zmoment_sums((1, 3, 500, 256, 60, i)) for i in (1, 2)))
         assert (est.value, est.samples) == (moments._star_mean(1, 3) + mean, n)
         assert est.stderr == Estimate.of((n, mean, m2)).stderr
 
-    def test_parallel_workers_reproducible(self):
+    def test_parallel_workers_reproducible(self, multilevel):
         a = estimate_z_moment_parallel(1, 3, outer=600, inner=128, seed=63, workers=2)
         b = estimate_z_moment_parallel(1, 3, outer=600, inner=128, seed=63, workers=2)
         assert a.value == b.value and a.stderr == b.stderr
         assert abs(a.value - 3.0) <= 6 * a.stderr
 
-    def test_multilevel_worker_invariance(self):
+    def test_multilevel_worker_invariance(self, multilevel):
         a = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=2)
         b = estimate_z_moment_parallel(2, 4, outer=400, seed=64, workers=2)
         assert (a.value, a.stderr, a.samples) == (b.value, b.stderr, b.samples)
@@ -284,6 +292,54 @@ class TestEstimateZMoment:
 
 def _sums_stderr(sums):
     return Estimate.of(sums).stderr
+
+
+class TestExactWk:
+    """At d <= 2 the k >= 3 estimator takes W_k exact (wstat.wk_exact_values)
+    and no inner draws; the multilevel body runs above d = 2 only."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_d1_closed_form(self, k):
+        est = estimate_z_moment_parallel(1, k, outer=225_000, seed=58, stream_index=k)
+        assert abs(est.value - z_moment_closed_form_d1(k)) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_d2_agrees_with_multilevel(self, k):
+        exact = moments._zmoment_exact((2, k, 20_000, DEFAULT_INNER_SAMPLES, 77, k))
+        ml = moments._zmoment_multilevel((2, k, 20_000, DEFAULT_INNER_SAMPLES, 77, 10 + k))
+        assert abs(exact[1] - ml[1]) <= 4 * math.hypot(_sums_stderr(exact), _sums_stderr(ml))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_takes_no_inner_draws(self, d, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("inner draws at d <= 2")
+
+        monkeypatch.setattr(moments, "wk_mc_values", fail)
+        # inner is checked, but has no effect
+        a = estimate_z_moment_parallel(d, 3, outer=500, inner=2, seed=78)
+        assert a == estimate_z_moment_parallel(d, 3, outer=500, inner=1 << 20, seed=78)
+        with pytest.raises(ValueError):
+            estimate_z_moment_parallel(d, 3, outer=500, inner=1, seed=78)
+
+    def test_shards_start_at_stream_index(self):
+        est = estimate_z_moment_parallel(2, 3, outer=1000, seed=60, workers=2, stream_index=1)
+        n, mean, m2 = _merge(*(moments._zmoment_exact((2, 3, 500, DEFAULT_INNER_SAMPLES, 60, i))
+                               for i in (1, 2)))
+        assert (est.value, est.samples) == (moments._star_mean(2, 3) + mean, n)
+        assert est.stderr == Estimate.of((n, mean, m2)).stderr
+
+    def test_memory_does_not_grow_with_outer(self):
+        # draws and values come in blocks; 60000 outer draws would fill a
+        # 480 kB array, half the peak at 2000
+        peaks = []
+        for outer in (2000, 60_000):
+            tracemalloc.start()
+            try:
+                moments._zmoment_exact((2, 3, outer, DEFAULT_INNER_SAMPLES, 79, 0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestMomentControl:
@@ -325,13 +381,13 @@ class TestMomentControl:
     def test_cuts_the_stderr_at_d8(self, seed):
         # the variance falls about 22x here, a stderr ratio near 0.21
         args = (8, 3, 4000, DEFAULT_INNER_SAMPLES, seed, 1)
-        assert _sums_stderr(moments._zmoment_sums(args)) <= 0.3 * _sums_stderr(
+        assert _sums_stderr(moments._zmoment_multilevel(args)) <= 0.3 * _sums_stderr(
             zmoment_sums_plain(args))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_agrees_with_plain_at_d2(self, k):
         args = (2, k, 4000, DEFAULT_INNER_SAMPLES, 68, k)
-        new, plain = moments._zmoment_sums(args), zmoment_sums_plain(args)
+        new, plain = moments._zmoment_multilevel(args), zmoment_sums_plain(args)
         assert new[0] == plain[0] == 4000
         assert abs(moments._star_mean(2, k) + new[1] - plain[1]) <= 4 * math.hypot(
             _sums_stderr(new), _sums_stderr(plain))
@@ -347,18 +403,18 @@ class TestBlockBase:
     def test_cuts_the_stderr(self, d, k, seed):
         # the variance fell 2.2-2.4x on these draws (stderr ratio 0.65-0.68)
         args = (d, k, 4000, DEFAULT_INNER_SAMPLES, seed, 2)
-        assert _sums_stderr(moments._zmoment_sums(args)) <= 0.95 * _sums_stderr(
+        assert _sums_stderr(moments._zmoment_multilevel(args)) <= 0.95 * _sums_stderr(
             zmoment_sums_first_block(args))
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_d1_closed_form(self, k):
+    def test_d1_closed_form(self, k, multilevel):
         est = estimate_z_moment_parallel(1, k, outer=20_000, seed=69, stream_index=k)
         assert abs(est.value - z_moment_closed_form_d1(k)) <= 4 * est.stderr
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_agrees_with_first_block_at_d2(self, k):
         args = (2, k, 4000, DEFAULT_INNER_SAMPLES, 70, k)
-        new, old = moments._zmoment_sums(args), zmoment_sums_first_block(args)
+        new, old = moments._zmoment_multilevel(args), zmoment_sums_first_block(args)
         assert new[0] == old[0] == 4000
         assert abs(new[1] - old[1]) <= 4 * math.hypot(_sums_stderr(new), _sums_stderr(old))
 
@@ -443,14 +499,14 @@ class TestStarControl:
     def test_cuts_the_stderr(self, d, k, seed):
         # the stderr ratio was 0.44-0.62 on these draws
         args = (d, k, 4000, DEFAULT_INNER_SAMPLES, seed, 3)
-        assert _sums_stderr(moments._zmoment_sums(args)) <= 0.75 * _sums_stderr(
+        assert _sums_stderr(moments._zmoment_multilevel(args)) <= 0.75 * _sums_stderr(
             zmoment_sums_sk_control(args))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_agrees_with_sk_control(self, d):
         for k in (3, 4):
             args = (d, k, 4000, DEFAULT_INNER_SAMPLES, 76, k)
-            new, old = moments._zmoment_sums(args), zmoment_sums_sk_control(args)
+            new, old = moments._zmoment_multilevel(args), zmoment_sums_sk_control(args)
             assert abs(moments._star_mean(d, k) + new[1] - 1.0 - old[1]) <= 4 * math.hypot(
                 _sums_stderr(new), _sums_stderr(old))
 

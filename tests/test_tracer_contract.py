@@ -41,8 +41,9 @@ _CASES = {
         {"moments.estimate", "moments.task", "wstat.sample_w_batch",
          "geometry.ball_intersection_volumes", "cli.run"},
     ),
+    # at d = 3, where W_k is not exact, k = 3 takes inner draws
     "zmoments": (
-        ["zmoments", "--dim", "2", "--k-max", "3", "--samples", "16", "--inner-samples", "64"],
+        ["zmoments", "--dim", "3", "--k-max", "3", "--samples", "16", "--inner-samples", "64"],
         {"moments.estimate", "moments.task", "wstat.wk_mc_values",
          "geometry.union_volume_mc_values", "cli.run"},
     ),

@@ -7,7 +7,7 @@ from scipy.stats import kstest
 from vorlab.geometry import Ball, interval_union_length, union_volume_mc
 from vorlab.moments import estimate_z_moment_parallel
 from vorlab.sampling import RandomStream, sample_unit_ball_batch
-from vorlab.wstat import sample_w_batch, w_and_lens, wk_mc_values
+from vorlab.wstat import sample_w_batch, w_and_lens, wk_exact_values, wk_mc_values
 
 from oracles import sample_w_batch_reference
 
@@ -142,3 +142,29 @@ class TestWkMCValues:
     def test_rejects_low_k(self):
         with pytest.raises(ValueError):
             wk_mc_values(2, 2, 5, 100, RandomStream(0))
+
+
+class TestWkExactValues:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_draws_and_bounds_as_mc(self, d):
+        # the same configurations and star bounds as wk_mc_values, whose row
+        # means scatter about the exact values
+        a, b = RandomStream(42, d), RandomStream(42, d)
+        sa, sb = np.empty(30), np.empty(30)
+        w = wk_exact_values(d, 4, 30, a, out=sa)
+        vals = wk_mc_values(d, 4, 30, 4096, b, out=sb)
+        assert np.array_equal(sa, sb)
+        assert np.all((1.0 <= w) & (w <= sa * (1 + 1e-12)))
+        se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+        assert np.all(np.abs(vals.mean(axis=1) - w) <= 4 * se + 1e-12)
+
+    def test_d1_closed_form(self):
+        # every interval holds 0, so the union is [min(0, 2 min y), max(2, 2 max y)]
+        w = wk_exact_values(1, 5, 500, RandomStream(43))
+        y = sample_unit_ball_batch(1, 500 * 4, RandomStream(43)).reshape(500, 4)
+        want = np.maximum(1.0, y.max(axis=1)) - np.minimum(0.0, y.min(axis=1))
+        assert np.allclose(w, want, rtol=0.0, atol=1e-15)
+
+    def test_rejects_low_k(self):
+        with pytest.raises(ValueError):
+            wk_exact_values(2, 2, 5, RandomStream(0))
