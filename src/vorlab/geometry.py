@@ -50,16 +50,26 @@ _ROW_LOOP_MAX_D = 7
 _NORM_ROWS = 1024
 
 
+def _column_sum(term, n: int) -> np.ndarray:
+    """term(0) + term(1) + ... + term(n - 1), added left to right.  Each
+    term(i) must be a new array."""
+    out = term(0)
+    for i in range(1, n):
+        out += term(i)
+    return out
+
+
 def row_sq_norms(v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms along the last axis of v.
+    """Squared Euclidean norms along the last axis of v, equal to
+    (v * v).sum(axis=-1) bit for bit.
 
     numpy's reduction over a short last axis is several times slower than
-    one pass per column, so up to _ROW_LOOP_MAX_D columns _pairwise_sum
-    adds the squares one column at a time, in numpy's order.  Wider rows
-    use numpy's pairwise reduction, which is faster there, on blocks of
-    _NORM_ROWS rows of the first axis, so that the squares never fill a
-    second array of v's size.  Either way the result equals
-    (v * v).sum(axis=-1) bit for bit.
+    one pass per column, so up to _ROW_LOOP_MAX_D columns _column_sum adds
+    the squares one column at a time.  7 is the widest row that numpy
+    itself sums left to right; from 8 columns on it adds them pairwise.
+    Wider rows therefore use numpy's reduction, which is faster there, on
+    blocks of _NORM_ROWS rows of the first axis, so that the squares never
+    fill a second array of v's size.
     """
     if v.shape[-1] > _ROW_LOOP_MAX_D:
         if v.ndim == 1:
@@ -68,7 +78,7 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
         for i in range(0, len(v), _NORM_ROWS):
             out[i : i + _NORM_ROWS] = np.square(v[i : i + _NORM_ROWS]).sum(axis=-1)
         return out
-    return _pairwise_sum(lambda j: np.square(v[..., j]), v.shape[-1])
+    return _column_sum(lambda j: np.square(v[..., j]), v.shape[-1])
 
 
 def check_dim(d) -> None:
@@ -141,9 +151,10 @@ _NO_STATS = (0, 0.0, 0.0)
 
 def _stats(x: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, M2) of the values x; the mean of a constant sample is
-    its value exactly, and M2 may be nan when the mean is infinite."""
+    its value exactly, a zero as +0, and M2 may be nan when the mean is
+    infinite."""
     if np.all(x == x[0]):
-        return x.size, float(x[0]), 0.0
+        return x.size, float(x[0]) + 0.0, 0.0  # -0 + 0.0 is +0
     mean = float(x.mean())
     with np.errstate(invalid="ignore"):  # inf - inf
         return x.size, mean, float(np.square(x - mean).sum())
@@ -294,31 +305,6 @@ def two_ball_union_volume(a: Ball, b: Ball) -> float:
     return hi + (lo - inter)
 
 
-def _pairwise_sum(term, n: int, lo: int = 0) -> np.ndarray:
-    """term(lo) + ... + term(lo + n - 1) in numpy's pairwise order, the
-    order in which (v * v).sum(axis=-1) adds a row of n squares: fewer
-    than 8 terms left to right, up to 128 in 8 interleaved partial sums
-    that are then added in pairs, and more as two halves, split at a
-    multiple of 8.  Each term(i) must be a new array."""
-    if n < 8:
-        out = term(lo)
-        for i in range(lo + 1, lo + n):
-            out += term(i)
-        return out
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(term, half, lo) + _pairwise_sum(term, n - half, lo + half)
-    r = [term(lo + j) for j in range(8)]
-    tail = lo + n - n % 8
-    for i in range(lo + 8, tail, 8):
-        for j, rj in enumerate(r):
-            rj += term(i + j)
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(tail, lo + n):
-        out += term(i)
-    return out
-
-
 # draws, and their coordinates, per union_volume_mc_values call of union_volume_mc
 _MC_CHUNK = 1 << 16
 _MC_COORDS = 1 << 18
@@ -359,9 +345,10 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
     src_at = src + k * np.arange(nsets)[:, None]
     rad = rng.random((nsets, m)) ** (1.0 / d) * np.take(radii, src_at)
     # one (nsets, m) array per coordinate from here on; a point is
-    # (g / |g|) * radius + center, and each squared norm is summed in
-    # numpy's row order, as row_sq_norms sums it
-    norm = np.sqrt(_pairwise_sum(lambda i: np.square(g[..., i]), d))
+    # (g / |g|) * radius + center, and each squared norm is summed left to
+    # right.  From d = 8 on that may differ from row_sq_norms in its last
+    # bits, which can move only a draw that close to a ball's surface
+    norm = np.sqrt(_column_sum(lambda i: np.square(g[..., i]), d))
     x = np.empty((d, nsets, m))
     for i, xi in enumerate(x):
         np.divide(g[..., i], norm, out=xi)
@@ -372,7 +359,7 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
     hits = np.zeros((nsets, m), dtype=np.int32)
     for j in range(k):
         c = centers[:, j, :, None]
-        d2 = _pairwise_sum(lambda i: np.square(x[i] - c[:, i]), d)
+        d2 = _column_sum(lambda i: np.square(x[i] - c[:, i]), d)
         inside = d2 <= (radii[:, j] ** 2)[:, None]
         # the drawn point lies in its source ball by construction; rounding
         # at the boundary must not drop it

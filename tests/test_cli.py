@@ -55,6 +55,16 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+# cell configs whose zero estimates were once written as -0, and the k of
+# those estimates: a falling factorial with a zero factor may be -0
+_ZERO_CELLS = [
+    (["cell", "--dim", "2", "--density", "gaussian", "--x", "30,0", "--n", "20", "--probes", "50",
+      "--replicates", "3"], [1, 2, 3, 4]),
+    (["cell", "--dim", "1", "--n", "5", "--probes", "4", "--replicates", "2", "--x", "0.99"],
+     [2, 3, 4]),
+]
+
+
 class TestParseConfig:
     def test_alpha_example_with_defaults(self):
         cfg = parse_config("command=alpha dim=2 samples=1000000 seed=7")
@@ -199,6 +209,13 @@ class TestRunCommands:
         rows = run(cfg)
         assert [r.k for r in rows] == [1, 2]
         assert all(r.n == 200 for r in rows)
+
+    @pytest.mark.parametrize("argv, zero_ks", _ZERO_CELLS)
+    def test_cell_zero_estimate_is_zero(self, argv, zero_ks, capsys):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        estimates = {int(line.split(",")[2]): line.split(",")[4] for line in lines}
+        assert [k for k, v in estimates.items() if v == "0"] == zero_ks
 
     @pytest.mark.filterwarnings("error")
     def test_diam_rows(self):
@@ -619,6 +636,75 @@ class TestScipyImports:
                 "from vorlab import cli\n"
                 "sys.exit(cli.main(sys.argv[1:]))")
         _python(code, argv)
+
+
+def _fuzz_values(d: int, tmp_path: Path) -> dict[str, list[str]]:
+    """A few valid, boundary and invalid values of each config key at
+    dimension d; budgets stay tiny."""
+    zeros = ["0"] * (d - 1)
+    return {
+        "dim": ["0", str(MAX_DIM + 1), "2.5"],
+        "density": ["uniform-ball:r=1", "gaussian", "uniform-cube:side=2",
+                    "uniform-ball:r=1e-100", "uniform-ball:r=0", "cauchy"],
+        "x": ["origin", ",".join(["1", *zeros]), ",".join(["30", *zeros]),
+              ",".join(["0"] * (d + 1)), "nan"],
+        "n": ["1", "2", "20", "0"],
+        "replicates": ["1", "3", "0"],
+        "probes": ["1", "50", "0"],
+        "samples": ["2", "64", "1", "1e400"],
+        "inner_samples": ["2", "16", "1", str(moments.MAX_INNER_SAMPLES + 1)],
+        "k_max": ["1", "4", str(moments.MAX_FACTORIAL_K), "0"],
+        "n_grid": ["1,5", "5,20", "0,5", ""],
+        "t_grid": ["0.5,1", "1", "inf", "a"],
+        "seed": ["0", str(2**64 - 1), str(2**64), "-1"],
+        "workers": ["1", "2", "0", str(MAX_WORKERS + 1)],
+        "output": [str(tmp_path / "out.csv"), str(tmp_path), str(tmp_path / "missing" / "out.csv")],
+    }
+
+
+class TestFuzz:
+    """A seeded fuzz through cli.main: every command at each of DIMS with a
+    tiny budget, then with two keys of the key table set to values drawn
+    from _fuzz_values.  Every run exits 0 or 2, and no CSV cell reads -0."""
+
+    DIMS = (1, 2, 3, 8, 60, 435)
+    BUDGETS = {
+        "alpha": {"samples": "64"},
+        "zmoments": {"samples": "16", "inner_samples": "16", "k_max": "3"},
+        "cell": {"n": "20", "replicates": "3", "probes": "50"},
+        "diam": {"n_grid": "5,20", "replicates": "2", "probes": "50"},
+        "unionvol-check": {"replicates": "3", "samples": "64"},
+    }
+
+    @staticmethod
+    def argv(command: str, keys: dict) -> list[str]:
+        return [command, *(a for k, v in keys.items() for a in ("--" + k.replace("_", "-"), v))]
+
+    def test_exit_codes_and_cells(self, tmp_path, capsys):
+        rng = np.random.default_rng(27)
+        runs = [argv for argv, _ in _ZERO_CELLS]
+        for command in COMMANDS:
+            for d in self.DIMS:
+                values = _fuzz_values(d, tmp_path)
+                assert set(values) == set(cli._FLAG_KEYS)
+                budget = {"dim": str(d), **self.BUDGETS[command]}
+                runs.append(self.argv(command, budget))
+                for _ in range(16):
+                    keys = dict(budget)
+                    for key in rng.choice(sorted(values), 2, replace=False):
+                        keys[key] = values[key][rng.integers(len(values[key]))]
+                    runs.append(self.argv(command, keys))
+        out = tmp_path / "out.csv"
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2), (argv, captured.err)
+            if code == 0:
+                text = out.read_text() if out.exists() else captured.out
+                out.unlink(missing_ok=True)
+                lines = text.splitlines()
+                assert lines[0] == CSV_HEADER and len(lines) > 1, argv
+                assert not any("-0" in line.split(",") for line in lines[1:]), (argv, text)
 
 
 class TestCommandsTuple:

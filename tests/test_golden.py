@@ -55,8 +55,8 @@ CASES = {
                             "--replicates", "20", "--probes", "2000", "--seed", "31"]
         for name, spec in _DENSITIES.items()
     },
-    # from 8 coordinates numpy sums the squares of a row pairwise, and so
-    # must every kernel that replaces such a sum
+    # from 8 coordinates row_sq_norms hands the squares of a row to numpy,
+    # which adds them pairwise
     "alpha-d8": ["alpha", "--dim", "8", "--samples", "2e4", "--seed", "41"],
     # every branch of the cap kernel: at d = 3 the odd-d recurrence over
     # several chunks and a partial one, at d = 5 a longer recurrence, and at
