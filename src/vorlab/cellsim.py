@@ -312,13 +312,10 @@ class CellExperimentConfig(_Replicated):
 class CellExperimentResult:
     """Replicated scaled cell measures with empirical moments and ECDF."""
 
-    replicates: int
     scaled_measures: np.ndarray
-    hits: np.ndarray | None
     empirical_moments: dict[int, float]
     moment_stderrs: dict[int, float]
     ecdf: np.ndarray
-    config: CellExperimentConfig
 
 
 def _falling(x: np.ndarray, k: int) -> np.ndarray:
@@ -355,11 +352,7 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
     """
     cfg = config
     (values,) = _replicate(_cell_block, cfg, (cfg.n,))
-    if cfg.measure_mode == "probe":
-        hits = values.astype(np.intp)
-        scaled = cfg.n * values / cfg.probes
-    else:
-        hits, scaled = None, cfg.n * values
+    scaled = cfg.n * values / cfg.probes if cfg.measure_mode == "probe" else cfg.n * values
 
     moments: dict[int, float] = {}
     stderrs: dict[int, float] = {}
@@ -374,8 +367,8 @@ def run_cell_experiment(config: CellExperimentConfig) -> CellExperimentResult:
         moments[k], stderrs[k] = est.value, est.stderr
 
     return CellExperimentResult(
-        replicates=cfg.replicates, scaled_measures=scaled, hits=hits, empirical_moments=moments,
-        moment_stderrs=stderrs, ecdf=np.sort(scaled), config=cfg,
+        scaled_measures=scaled, empirical_moments=moments, moment_stderrs=stderrs,
+        ecdf=np.sort(scaled),
     )
 
 
@@ -533,17 +526,15 @@ class DiameterResult:
     scaled_lower / scaled_upper map n to the per-replicate values of
     n^(1/d) times the lower / upper diameter estimates.  quantiles maps n to
     {level: (lower_estimator_quantile, upper_estimator_quantile)}, and
-    exceedance maps n to the empirical P{n^(1/d) diam >= t} per t in t_grid,
-    evaluated on the upper estimator.
+    exceedance maps n to the empirical P{n^(1/d) diam >= t} per t in the
+    config's t_grid, evaluated on the upper estimator.
     """
 
     n_grid: tuple[int, ...]
-    t_grid: tuple[float, ...]
     scaled_lower: dict[int, np.ndarray]
     scaled_upper: dict[int, np.ndarray]
     quantiles: dict[int, dict[float, tuple[float, float]]]
     exceedance: dict[int, np.ndarray]
-    config: DiameterExperimentConfig
 
 
 def _diam_block(args) -> np.ndarray:
@@ -582,6 +573,6 @@ def run_diameter_experiment(config: DiameterExperimentConfig) -> DiameterResult:
         }
         exceedance[n] = np.array([float(np.mean(ups >= t)) for t in cfg.t_grid])
     return DiameterResult(
-        n_grid=cfg.n_grid, t_grid=cfg.t_grid, scaled_lower=scaled_lower,
-        scaled_upper=scaled_upper, quantiles=quantiles, exceedance=exceedance, config=cfg,
+        n_grid=cfg.n_grid, scaled_lower=scaled_lower, scaled_upper=scaled_upper,
+        quantiles=quantiles, exceedance=exceedance,
     )

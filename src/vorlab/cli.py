@@ -273,21 +273,22 @@ def _run_diam(config: ExperimentConfig) -> list[ResultRow]:
 
 def _run_unionvol_check(config: ExperimentConfig) -> list[ResultRow]:
     d = config.dim
+    shrink = min(1.0, 8.0 / d)  # above d = 8, the first ball's r^d keeps its law at d = 8
     rows = []
     for i in range(1, config.replicates + 1):
         t0 = time.perf_counter()
         rng = sampling.RandomStream(config.seed, i)
         m = 3 if d <= 2 else 2  # three random intervals or disks, or two random balls
-        radii = [0.1 + 0.9 * rng.random()]
+        radii = [(0.1 + 0.9 * rng.random()) ** shrink]
         centers = [rng.random(d) * 2.0 - 1.0]
         for _ in range(1, m):
             # each next ball has 1/2 to 2 times the volume of the one before
             # it, and its center lies in a uniform direction at a distance
-            # uniform in (|r0 - r1|, |r0 - r1| + min(r0, r1)): the balls meet,
-            # neither holds the other, and their lens holds enough of the
-            # smaller ball that the mixture draws vary
+            # uniform in (|r0 - r1|, |r0 - r1| + min(r0, r1) sqrt(shrink)):
+            # the balls meet, neither holds the other, and their lens holds
+            # enough of the smaller ball that the mixture draws vary, at any d
             r0, r1 = radii[-1], radii[-1] * (0.5 + 1.5 * rng.random()) ** (1.0 / d)
-            dist = abs(r0 - r1) + min(r0, r1) * rng.random()
+            dist = abs(r0 - r1) + min(r0, r1) * rng.random() * math.sqrt(shrink)
             g = rng.standard_normal(d)
             radii.append(r1)
             centers.append(centers[-1] + dist * g / np.linalg.norm(g))

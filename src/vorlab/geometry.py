@@ -63,13 +63,14 @@ def row_sq_norms(v: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms along the last axis of v, equal to
     (v * v).sum(axis=-1) bit for bit.
 
-    numpy's reduction over a short last axis is several times slower than
-    one pass per column, so up to _ROW_LOOP_MAX_D columns _column_sum adds
-    the squares one column at a time.  7 is the widest row that numpy
-    itself sums left to right; from 8 columns on it adds them pairwise.
-    Wider rows therefore use numpy's reduction, which is faster there, on
-    blocks of _NORM_ROWS rows of the first axis, so that the squares never
-    fill a second array of v's size.
+    Up to _ROW_LOOP_MAX_D columns _column_sum adds the squares one column at
+    a time, as numpy does; from 8 columns on numpy adds them pairwise, and
+    its reduction runs on blocks of _NORM_ROWS rows of the first axis, so
+    that the squares never fill a second array of v's size.  7 keeps the
+    bits that TestRowSqNorms and tests/oracles.py rely on; it is not the
+    speed crossover.  On (8192, d) rows (2 cores, numpy 2.4) the column loop
+    took 0.06 against 0.20 ms at d = 8 and 0.16 against 0.26 ms at d = 20;
+    numpy caught up only at about 60 columns (1.5 against 5.0 ms at 200).
     """
     if v.shape[-1] > _ROW_LOOP_MAX_D:
         if v.ndim == 1:
@@ -329,16 +330,17 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
 
     vols = unit_ball_volume(d) * radii**d
     total = vols.sum(axis=1)
-    live = total > 0.0
-    weights = np.where(live[:, None], vols / np.where(live, total, 1.0)[:, None], 0.0)
-    cum = np.cumsum(weights, axis=1)
+    # a row of zero volume gets nan weights (0 / 0): every draw then comes
+    # from ball 0, which counts it, and scores 0 / hits = +0
+    with np.errstate(invalid="ignore"):
+        cum = np.cumsum(vols / total[:, None], axis=1)
 
     u = rng.random((nsets, m))
-    # the number of cumulative weights below u, capped at k - 1
+    # the number of the first k - 1 cumulative weights below u: u above the
+    # last one is above them all, and the index stays k - 1
     src = np.zeros((nsets, m), dtype=np.intp)
-    for j in range(k):
+    for j in range(k - 1):
         src += u > cum[:, j, None]
-    np.minimum(src, k - 1, out=src)
 
     g = rng.standard_normal((nsets, m, d))
     # each draw's source ball, as an index into the rows of k balls
@@ -365,9 +367,7 @@ def union_volume_mc_values(centers: np.ndarray, radii: np.ndarray, samples: int,
         # at the boundary must not drop it
         inside |= src == j
         hits += inside
-    values = total[:, None] / hits
-    values[~live] = 0.0
-    return values
+    return total[:, None] / hits
 
 
 def union_volume_mc(balls, samples: int, rng) -> Estimate:
@@ -397,12 +397,16 @@ def union_volume_mc(balls, samples: int, rng) -> Estimate:
 
     centers = np.stack([b.center for b in balls])[None, :, :]
     radii = np.array([b.radius for b in balls])[None, :]
+    # draws in units of the power of two at the total volume, an exact scaling,
+    # so that squared deviations of volumes below 1e-154 do not underflow to 0
+    scale = math.ldexp(1.0, math.frexp(sum(b.volume for b in balls))[1])
     chunk = min(_MC_CHUNK, _MC_COORDS // d)
     acc = _NO_STATS
     for start in range(0, m, chunk):
         values = union_volume_mc_values(centers, radii, min(chunk, m - start), rng)[0]
-        acc = _merge(acc, _stats(values))
-    return Estimate.of(acc)
+        acc = _merge(acc, _stats(values / scale))
+    est = Estimate.of(acc)
+    return Estimate(est.value * scale, est.stderr * scale, est.samples)
 
 
 # elements of one temporary of exact_union_volumes: 64 KiB of floats, below

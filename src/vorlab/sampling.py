@@ -40,10 +40,8 @@ class RandomStream:
     def __init__(self, seed: int, stream_index: int = 0):
         if stream_index < 0:
             raise ValueError("stream_index must be >= 0")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
         self.position = 0
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_index),))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def _count(self, size) -> int:

@@ -281,10 +281,12 @@ class TestRunCommands:
             inside = [r.lower_bound <= r.estimate <= r.upper_bound for r in rows]
             assert all(inside)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 60, 200, MAX_DIM])
     def test_unionvol_check_draws_vary(self, dim, capsys):
         # every instance overlaps without nesting, so no row's draws are
-        # constant and its bounds, the oracle +- 4 stderr, do not collapse
+        # constant and its bounds, the oracle +- 4 stderr, do not collapse;
+        # above d = 8 too, where the lens and the volumes would otherwise
+        # vanish
         argv = ["unionvol-check", "--dim", str(dim), "--replicates", "50", "--samples", "2000"]
         assert main(argv) == 0
         rows = rows_from_csv(capsys.readouterr().out)
@@ -665,7 +667,10 @@ def _fuzz_values(d: int, tmp_path: Path) -> dict[str, list[str]]:
 class TestFuzz:
     """A seeded fuzz through cli.main: every command at each of DIMS with a
     tiny budget, then with two keys of the key table set to values drawn
-    from _fuzz_values.  Every run exits 0 or 2, and no CSV cell reads -0."""
+    from _fuzz_values.  Every run exits 0 or 2, no CSV cell reads -0, and no
+    unionvol-check row of 64 draws or more has stderr 0 and an estimate
+    outside its bounds, the oracle +- 4 stderr (a row of one or two draws
+    may well be constant)."""
 
     DIMS = (1, 2, 3, 8, 60, 435)
     BUDGETS = {
@@ -705,6 +710,9 @@ class TestFuzz:
                 lines = text.splitlines()
                 assert lines[0] == CSV_HEADER and len(lines) > 1, argv
                 assert not any("-0" in line.split(",") for line in lines[1:]), (argv, text)
+                for r in rows_from_csv(text):
+                    if r.command == "unionvol-check" and r.samples >= 64 and r.stderr == 0.0:
+                        assert r.lower_bound <= r.estimate <= r.upper_bound, (argv, text)
 
 
 class TestCommandsTuple:

@@ -390,17 +390,32 @@ class TestUnionKernelBits:
         assert np.array_equal(got, want)
         return want
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20, 60, 129])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20, 60, 129, MAX_DIM])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_random_rows(self, d, k):
         rng = np.random.default_rng(100 * d + k)
         centers = rng.uniform(-0.6, 0.6, (5, k, d))
-        if d > 20:  # so that the balls still meet
-            centers /= math.sqrt(d)
         radii = rng.uniform(0.05, 1.0, (5, k))
+        if d > 20:
+            # volumes within a factor 20 of each other, and centers about
+            # r/sqrt(d) apart, so that many draws land in a lens
+            centers /= d
+            radii **= 1.0 / d
         radii[0] = 0.0
+        zero = [0]
+        if d == MAX_DIM:
+            # radii below 1 whose volumes underflow to 0; the other rows'
+            # volumes lie about the smallest normal double
+            radii[1] = rng.uniform(0.05, 0.9, k)
+            zero = [0, 1]
         want = self.assert_same(centers, radii, 257, d + k)
-        assert np.all(want[0] == 0.0)
+        assert np.all(want[zero] == 0.0)
+        if d > 20 and k > 1:
+            # each live row has draws in one ball and draws in a lens
+            live = np.setdiff1d(np.arange(5), zero)
+            total = (unit_ball_volume(d) * radii[live] ** d).sum(axis=1)[:, None]
+            assert np.all(np.any(want[live] == total, axis=1))
+            assert np.all(np.any(want[live] < total, axis=1))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20])
     def test_nested_pair(self, d):
@@ -442,6 +457,16 @@ class TestUnionVolumeMC:
         b = Ball([0.8, 0.3, 0.0], 0.9)
         est = union_volume_mc([a, b], 40000, RandomStream(2))
         exact = two_ball_union_volume(a, b)
+        assert abs(est.value - exact) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("d", [300, MAX_DIM])
+    def test_tiny_volumes_keep_their_spread(self, d):
+        # volumes below 1e-154, whose squared deviations underflow to 0
+        a = Ball(np.zeros(d), 1.0)
+        b = Ball(np.eye(d)[0] / math.sqrt(d), 1.0)
+        est = union_volume_mc([a, b], 4000, RandomStream(d))
+        exact = two_ball_union_volume(a, b)
+        assert 0.0 < est.stderr < 0.1 * exact
         assert abs(est.value - exact) <= 4 * est.stderr
 
     def test_d1_three_intervals_vs_sweep(self):
