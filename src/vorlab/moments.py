@@ -293,7 +293,7 @@ def _zmoment_multilevel(args) -> tuple[int, float, float]:
     while left:
         c = min(_OUTER_CHUNK, left)
         left -= c
-        level = np.minimum(np.searchsorted(cum, rng.random(c), side="right"), p.size - 1)
+        level = np.searchsorted(cum[:-1], rng.random(c), side="right")
         theta = np.empty(c)
         for lev, w in enumerate(weight):
             m = m0 << (lev + 1)

@@ -223,9 +223,6 @@ def max_pairwise_distance_quadratic(pts: np.ndarray) -> float:
 # in place, copied verbatim: whole-array temporaries, one np.where per
 # branch.  The library's kernels must equal them bit for bit.
 
-# largest d whose caps use _cap_fraction; above it scipy's betainc is faster
-# and is called instead
-_CAP_KERNEL_MAX_D = 19
 # the recurrence is kept where its result is at least 1/64 of its start value,
 # so that cancellation costs it at most about 6 bits
 _RECURRENCE_KEEP = 64.0
@@ -239,7 +236,8 @@ def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
 
     With a = (d+1)/2 and t_a = x^a sqrt(1-x) / (a B(a, 1/2)), the start value
     is I_x(1, 1/2) = 1 - sqrt(1-x) for odd d and I_x(3/2, 1/2) =
-    (2/pi)(arcsin sqrt(x) - sqrt(x(1-x))) for even d, and the upward
+    (2/pi)(arctan2(sqrt(x), sqrt(1-x)) - sqrt(x(1-x))) for even d (arcsin
+    sqrt(x) would lose up to 2.8e-9 relative as x -> 1), and the upward
     recurrence I_x(a+1, 1/2) = I_x(a, 1/2) - t_a (DLMF 8.17.20) reaches a.
     Where that subtraction cancels (small x), the positive-term series
     I_x(a, 1/2) = t_a sum_n (a+1/2)_n / (a+1)_n x^n (DLMF 8.17.8) replaces it.
@@ -254,7 +252,7 @@ def _cap_fraction(d: int, x: np.ndarray) -> np.ndarray:
     else:
         a, c = 1.5, 4.0 / (3.0 * math.pi)
         s = np.sqrt(x)
-        start = (2.0 / math.pi) * np.arcsin(s)
+        start = (2.0 / math.pi) * np.arctan2(s, sy)
         val = start - (2.0 / math.pi) * (s * sy)
     steps = (d - 1) // 2
     if steps:
@@ -284,18 +282,13 @@ def _cap_volumes(d: int, r: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     h is the distance from the ball center to the cutting hyperplane; h >= 0
     gives the minority cap, h < 0 the complementary one.  Evaluated with the
-    regularized incomplete beta function I_x((d+1)/2, 1/2): _cap_fraction up
-    to _CAP_KERNEL_MAX_D, scipy's betainc above.
+    regularized incomplete beta function I_x((d+1)/2, 1/2), from
+    _cap_fraction.
     """
     full = unit_ball_volume(d) * r**d
     # clamp guards ulp-level excursions of 1 - (h/r)^2 at the branch edges
     x = np.clip(1.0 - (h * h) / (r * r), 0.0, 1.0)
-    if d <= _CAP_KERNEL_MAX_D:
-        frac = _cap_fraction(d, x)
-    else:
-        from scipy.special import betainc
-
-        frac = betainc((d + 1) / 2, 0.5, x)
+    frac = _cap_fraction(d, x)
     half_cap = 0.5 * full * frac
     return np.where(h >= 0.0, half_cap, full - half_cap)
 

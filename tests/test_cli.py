@@ -594,6 +594,12 @@ _NO_SCIPY_RUNS = {
     "zmoments": ["zmoments", "--dim", "2", "--k-max", "4", "--samples", "16",
                  "--inner-samples", "64"],
     "unionvol-check": ["unionvol-check", "--dim", "3", "--replicates", "3", "--samples", "1000"],
+    # large d, whose caps once imported scipy.special
+    "alpha-d21": ["alpha", "--dim", "21", "--samples", "2e4", "--workers", "2"],
+    "zmoments-d60": ["zmoments", "--dim", "60", "--k-max", "3", "--samples", "16",
+                     "--inner-samples", "64"],
+    "unionvol-check-d435": ["unionvol-check", "--dim", "435", "--replicates", "2",
+                            "--samples", "1000"],
     **{
         f"{argv[0]}-{density.split(':')[0]}": [*argv, "--density", density, "--workers", "2"]
         for argv in (["cell", "--dim", "2", "--n", "50", "--replicates", "4", "--probes", "200"],
@@ -605,8 +611,8 @@ _NO_SCIPY_RUNS = {
 
 
 class TestScipyImports:
-    """Only the gaussian measures and caps above d = 19 load scipy, and only
-    scipy.special; no command at these settings reaches them."""
+    """Only the gaussian measures load scipy, and only scipy.special; no
+    command reaches them, at any d."""
 
     def test_src_imports_only_scipy_special(self):
         src = Path(vorlab.__file__).resolve().parent

@@ -218,13 +218,17 @@ class TestIntersectionVolume:
 class TestCapKernel:
     """The elementary I_x((d+1)/2, 1/2) behind the cap volumes, against betainc."""
 
-    # dense on a log scale from 1e-300 and on a linear scale up to 1
+    # dense on a log scale from 1e-300, on a linear scale up to 1, and on a
+    # log scale in 1 - x from 1e-16, where an arcsin start loses bits
     X = np.unique(np.concatenate([
         np.logspace(-300, 0, 3001), np.logspace(-8, 0, 40001), np.linspace(0.0, 1.0, 40001),
+        1 - np.logspace(-16, -1, 400),
     ]))
 
-    # up to d = 20, one above the cut-over, where the caps call betainc
-    @pytest.mark.parametrize("d", range(1, 21))
+    # every d up to 24, and long recurrences and series up to MAX_DIM, odd
+    # and even
+    @pytest.mark.parametrize("d", [*range(1, 25), 30, 31, 64, 99, 100, 200, 201, 300, 301,
+                                   434, 435])
     def test_matches_betainc(self, d):
         ref = betainc((d + 1) / 2, 0.5, self.X)
         got = geometry._cap_fraction(d, self.X)
@@ -234,7 +238,7 @@ class TestCapKernel:
         # where the value underflows, both are 0 or subnormal
         assert np.all(np.abs(got[~normal] - ref[~normal]) <= tiny)
 
-    @pytest.mark.parametrize("d", [2, 7, 20])
+    @pytest.mark.parametrize("d", [2, 7, 20, 435])
     def test_each_value_ignores_the_rest_of_the_batch(self, d):
         x = self.X[::97]
         alone = [geometry._cap_fraction(d, x[i:i + 1])[0] for i in range(x.size)]
@@ -266,7 +270,7 @@ class TestKernelsMatchReference:
     equal bit for bit, on each branch of the cap kernel and for every
     input shape."""
 
-    # every d of the elementary kernel, the betainc branch above d = 19
+    # every d up to 21, and a longer recurrence at d = 30
     @pytest.mark.parametrize("d", [*range(1, 22), 30])
     def test_batch(self, d):
         r1, r2, dist = _pairs(d)

@@ -58,14 +58,18 @@ CASES = {
     # from 8 coordinates row_sq_norms hands the squares of a row to numpy,
     # which adds them pairwise
     "alpha-d8": ["alpha", "--dim", "8", "--samples", "2e4", "--seed", "41"],
-    # every branch of the cap kernel: at d = 3 the odd-d recurrence over
-    # several chunks and a partial one, at d = 5 a longer recurrence, and at
-    # d = 21 scipy's betainc
+    # the cap kernel's branches: at d = 3 the odd-d recurrence over several
+    # chunks and a partial one, at d = 5 a longer recurrence, and at d = 21
+    # and 60 long recurrences and series (written when scipy's betainc
+    # computed the caps above d = 19; the kernel reproduces them byte for byte)
     "alpha-d3": ["alpha", "--dim", "3", "--samples", "2e5", "--workers", "2", "--seed", "43"],
     "alpha-d5": ["alpha", "--dim", "5", "--samples", "2e4", "--seed", "45"],
     "alpha-d21": ["alpha", "--dim", "21", "--samples", "2e4", "--seed", "61"],
+    "alpha-d60": ["alpha", "--dim", "60", "--samples", "2e4", "--seed", "63"],
     "zmoments-d8": ["zmoments", "--dim", "8", "--k-max", "3", "--samples", "200",
                     "--inner-samples", "256", "--seed", "41"],
+    "zmoments-d60": ["zmoments", "--dim", "60", "--k-max", "3", "--samples", "64",
+                     "--inner-samples", "64", "--seed", "67"],
     # k = 3 sharded over a shared pool of 3 workers: with W_k exact (d = 2),
     # and by the multilevel estimator (d = 3)
     "zmoments-pool": ["zmoments", "--dim", "2", "--k-max", "3", "--samples", "40",
