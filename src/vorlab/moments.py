@@ -3,8 +3,11 @@
 The asymptotic second moment alpha(d) is the mean of 2 / W^2 under the exact
 two-ball sampler, estimated as 1 plus the mean of its excess over the control
 2 / (1 + |Y|^d)^2, which has mean exactly 1, so its error shrinks with
-alpha(d) - 1.  The k-th limiting moment is the mean of k! / W_k^k.  For
-k >= 3, W_k is exact at d <= 2, with no inner draws.  At d >= 3, where W_k
+alpha(d) - 1.  At d >= 2 the excess is averaged over mirrored pairs of
+draws, Y and (-Y_1, Y_2, ..., Y_d), whose excesses are negatively
+correlated, and the standard error is that of the iid pair means.  The
+k-th limiting moment is the mean of k! / W_k^k.  For k >= 3, W_k is exact
+at d <= 2, with no inner draws.  At d >= 3, where W_k
 itself is Monte Carlo estimated, a randomized multilevel estimator (Rhee and
 Glynn 2015; Blanchet and Glynn 2015) removes the plug-in bias of
 w -> k! / w^k, up to O(1/inner^2) for a cap of `inner` inner draws.  Both
@@ -96,7 +99,11 @@ def shard_pool(workers: int, samples: int):
 
 
 def _alpha_sums(args) -> tuple[int, float, float]:
-    """(count, mean, M2) of the excess e = 2/W^2 - 2/a^2 over two-ball draws.
+    """(count, mean, M2) of the excess e = 2/W^2 - 2/a^2 over `count`
+    two-ball draws: of each draw's excess at d = 1, and of the pair means
+    of the excess at d >= 2, where sample_w_batch draws mirrored pairs and
+    `count` is even.  Pair means are iid, so their M2 gives the standard
+    error; the draws of a pair are not independent.
 
     With U = |Y|^d and L the normalized lens volume, a = 1 + U = W + L, and
     e = 2 L (a + W) / (W^2 a^2) is formed from positive terms alone.  The
@@ -118,6 +125,10 @@ def _alpha_sums(args) -> tuple[int, float, float]:
             e *= a + w
             e /= np.square(np.multiply(w, a, out=a), out=a)
         del draws, w, lens  # so that the next chunk's draws can reuse the memory
+        if d > 1:  # the mirror of row j is row m/2 + j
+            m //= 2
+            np.add(excess[:m], excess[m : 2 * m], out=excess[:m])
+            excess[:m] *= 0.5
         acc = _merge(acc, _stats(excess[:m]))
     return acc
 
@@ -133,10 +144,18 @@ def estimate_alpha_parallel(d: int, samples: int, seed: int, workers: int = 1, *
     is free of plug-in bias and the high-precision d = 2, 3 reference
     values are reachable by sampling alone.
 
-    The draws are split over the `workers` consecutive streams (seed,
-    stream_index), (seed, stream_index + 1), ..., whose partial sums are
-    merged in stream order, so the estimate is bit-reproducible for fixed
-    (seed, workers, stream_index).
+    At d >= 2 the draws are mirrored pairs, Y and (-Y_1, Y_2, ..., Y_d),
+    and the estimate and its standard error are those of the pair means.
+    `samples` is then rounded up to whole pairs, and to at least two
+    pairs; Estimate.samples is the number of draws taken,
+    2 max(2, ceil(samples / 2)).  At d = 1 the draws are independent.
+
+    The draws (at d >= 2, the pairs) are split over the `workers`
+    consecutive streams (seed, stream_index), (seed, stream_index + 1),
+    ..., whose partial sums are merged in stream order, so the estimate is
+    bit-reproducible for fixed (seed, workers, stream_index).  Estimates
+    that are to be independent need stream_index values at least
+    `workers` apart.
     """
     return _z_moment(d, 2, samples, DEFAULT_INNER_SAMPLES, seed, stream_index, workers)
 
@@ -324,20 +343,24 @@ def _z_moment(d, k, outer, inner, seed, first_stream, workers, pool=None) -> Est
         raise ValueError(f"inner must be in [2, {MAX_INNER_SAMPLES}]")
     if first_stream < 0:
         raise ValueError("stream_index must be >= 0")
-    shards = list(enumerate(shard_ranges(int(outer), workers), start=first_stream))
+    # draws per averaged value: k = 2 at d >= 2 averages the means of
+    # ceil(outer / 2) mirrored pairs, and of at least 2, for a stderr
+    per = 2 if k == 2 and d > 1 else 1
+    shards = list(enumerate(shard_ranges(max(2, -(-int(outer) // per)), workers),
+                            start=first_stream))
     if k == 1:
         return Estimate(value=1.0, stderr=0.0, samples=int(outer))
     if k == 2:
-        fn, args, mean = _alpha_sums, [(d, len(r), seed, i) for i, r in shards], 1.0
+        fn, args, mean = _alpha_sums, [(d, per * len(r), seed, i) for i, r in shards], 1.0
     else:
         fn, args = _zmoment_sums, [(d, k, len(r), int(inner), seed, i) for i, r in shards]
         mean = _star_mean(d, k)
     # every shard's (count, mean, M2), merged in stream order
-    with nullcontext(pool) if pool is not None else shard_pool(workers, int(outer)) as pool:
+    with nullcontext(pool) if pool is not None else shard_pool(workers, len(args)) as pool:
         parts = [fn(a) for a in args] if pool is None else list(pool.map(fn, args))
     est = Estimate.of(reduce(_merge, parts, _NO_STATS))
     # every shard averages the excess over a control of known mean
-    return replace(est, value=mean + est.value)
+    return replace(est, value=mean + est.value, samples=per * est.samples)
 
 
 def estimate_z_moment_parallel(
@@ -359,7 +382,12 @@ def estimate_z_moment_parallel(
     outer draw at the default cap, and its bias is O(1/inner^2).  At
     d <= 2 it is checked but has no effect, and the estimate is unbiased.
     The standard error covers both the outer and the inner variation.
-    Streams and their merge are those of estimate_alpha_parallel.  `pool`,
+    k = 2 takes the draws of estimate_alpha_parallel, mirrored pairs at
+    d >= 2, with its rule for `outer` and for Estimate.samples.
+    Streams and their merge are those of estimate_alpha_parallel, so
+    estimates for several k at one (seed, stream_index), as the CLI's
+    zmoments rows are, share their random numbers: each is unbiased, but
+    they are correlated.  `pool`,
     from shard_pool(workers, outer), lets the estimates of several k share
     one process pool.
     """

@@ -11,7 +11,9 @@ fall back to the mixture Monte Carlo estimator above (wk_mc_values).
 The two-ball sampler also returns the normalized lens volume
 L = |B(e1, 1) ∩ B(Y, ||Y||)| / |B|, which it computes anyway.  W + L is
 1 + ||Y||^d, uniform on [1, 2], so L is what separates W from a variable of
-known law.
+known law.  At d >= 2 it draws Y in mirrored pairs, Y and
+(-Y_1, Y_2, ..., Y_d): each row has the law of an independent draw, but
+the rows of a pair are not independent (see sample_w_batch).
 """
 
 from __future__ import annotations
@@ -61,13 +63,28 @@ def w_and_lens(y, out=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_w_batch(d: int, n: int, rng: RandomStream) -> np.ndarray:
-    """n independent two-ball draws, exactly, as an (n, 2) array: column 0
-    is W and column 1 the normalized lens volume L, as w_and_lens gives
-    them, with W + L = 1 + ||Y||^d up to rounding."""
-    y = sample_unit_ball_batch(d, n, rng)
+    """n exact two-ball draws as an (n, 2) array: column 0 is W and column 1
+    the normalized lens volume L, as w_and_lens gives them, with
+    W + L = 1 + ||Y||^d up to rounding.
+
+    At d = 1 the n centers are independent.  At d >= 2 they come in mirrored
+    pairs: rows 0..ceil(n/2)-1 hold independent centers Y, and the last
+    floor(n/2) rows hold the mirrors (-Y_1, Y_2, ..., Y_d) of the first
+    floor(n/2) of them.  Every row has the law of an independent draw, but
+    a row and its mirror are correlated: the mirror maps the angle theta
+    to e1 onto pi - theta, so a draw with a large lens pairs with one with a
+    small lens.
+    """
+    half = n if d == 1 else (n + 1) // 2
+    y = sample_unit_ball_batch(d, half, rng)
     out = np.empty((n, 2), order="F")  # contiguous columns
-    for i in range(0, n, _BLOCK):
-        w_and_lens(y[i : i + _BLOCK], out[i : i + _BLOCK])
+    for i in range(0, half, _BLOCK):
+        block = y[i : i + _BLOCK]
+        w_and_lens(block, out[i : i + len(block)])
+        mirrors = out[half + i : half + i + len(block)]
+        if len(mirrors):  # d >= 2
+            block[:, 0] *= -1.0
+            w_and_lens(block[: len(mirrors)], mirrors)
     return out
 
 

@@ -325,11 +325,18 @@ def ball_intersection_volumes(d: int, r1, r2, dist) -> np.ndarray:
 
 def sample_w_batch_reference(d: int, n: int, rng) -> np.ndarray:
     """The two-ball sampler unblocked: one pass of the reference kernels
-    over all n centers, drawn as sample_unit_ball_batch draws them, as an
-    (n, 2) array of W and the normalized lens volume L."""
-    g = rng.standard_normal((n, d))
+    over all n centers, as an (n, 2) array of W and the normalized lens
+    volume L.  At d = 1 the n centers are drawn as sample_unit_ball_batch
+    draws them; at d >= 2, ceil(n/2) centers are drawn so, and the mirrors
+    (-y1, y2, ..., yd) of the first floor(n/2) follow them."""
+    m = n if d == 1 else (n + 1) // 2
+    g = rng.standard_normal((m, d))
     g /= np.sqrt(row_sq_norms(g))[:, None]
-    y = g * (rng.random(n) ** (1.0 / d))[:, None]
+    y = g * (rng.random(m) ** (1.0 / d))[:, None]
+    if d > 1:
+        mirrors = y[: n // 2].copy()
+        mirrors[:, 0] = -mirrors[:, 0]
+        y = np.concatenate((y, mirrors))
     ny = np.sqrt(row_sq_norms(y))
     shifted = y.copy()
     shifted[:, 0] -= 1.0

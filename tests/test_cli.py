@@ -202,6 +202,19 @@ class TestRunCommands:
             assert r.upper_bound == pytest.approx(float(kf))
             assert r.lower_bound - 4 * r.stderr <= r.estimate <= r.upper_bound + 4 * r.stderr
 
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_samples_column_counts_mirrored_draws(self, workers, capsys):
+        # at d >= 2 alpha and the zmoments k = 2 row draw mirrored pairs:
+        # 3 samples round up to two pairs, 4 draws; the other rows take 3
+        for command in (["alpha"], ["zmoments", "--k-max", "3", "--inner-samples", "64"]):
+            argv = [*command, "--dim", "2", "--samples", "3", "--workers", workers]
+            assert main(argv) == 0
+            rows = rows_from_csv(capsys.readouterr().out)
+            assert [(r.k, r.samples) for r in rows] == (
+                [(None, 4)] if command == ["alpha"] else [(1, 3), (2, 4), (3, 3)])
+            assert all(math.isfinite(r.stderr) for r in rows)
+            assert all(r.stderr > 0.0 for r in rows if r.k != 1)
+
     def test_cell_rows(self):
         cfg = parse_config(
             "command=cell dim=1 n=200 replicates=150 probes=500 k_max=2 seed=3"

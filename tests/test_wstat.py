@@ -28,8 +28,10 @@ class TestWGivenCenter:
 
     def test_matches_batch_formula(self):
         # each row's value does not depend on the batch it is evaluated in,
-        # and the sampler is the kernel applied to its own center draws
-        ys = sample_unit_ball_batch(3, 200, RandomStream(31))
+        # and the sampler is the kernel applied to its own center draws,
+        # followed by their mirrors (-y1, y2, y3)
+        ys = sample_unit_ball_batch(3, 100, RandomStream(31))
+        ys = np.concatenate((ys, ys * [-1.0, 1.0, 1.0]))
         batch = w_and_lens(ys)[0]
         rows = np.array([w_and_lens(y[None, :])[0][0] for y in ys])
         assert np.array_equal(batch, rows)
@@ -37,10 +39,11 @@ class TestWGivenCenter:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_lens_column_closes_the_control(self, d):
-        # W + L = 1 + |Y|^d: column 1 is the lens volume left out of W
-        ys = sample_unit_ball_batch(d, 2000, RandomStream(41, d))
+        # W + L = 1 + |Y|^d: column 1 is the lens volume left out of W; at
+        # d >= 2 the last 1000 rows are mirrors, of the norms of the first
+        ys = sample_unit_ball_batch(d, 2000 if d == 1 else 1000, RandomStream(41, d))
         w, lens = sample_w_batch(d, 2000, RandomStream(41, d)).T
-        u = np.linalg.norm(ys, axis=1) ** d
+        u = np.resize(np.linalg.norm(ys, axis=1) ** d, 2000)
         assert np.allclose(lens, 1.0 + u - w, rtol=0.0, atol=1e-14)
         assert np.all(lens >= 0.0)
 
@@ -59,6 +62,12 @@ class TestSampleW:
         cond = w[w > 1.0] - 1.0
         assert kstest(cond, "uniform").statistic < 0.02
 
+    def test_mirrors_keep_the_law(self):
+        # a mirrored row has the law of an independent draw
+        w = sample_w_batch(2, 100_000, RandomStream(46))[50_000:, 0]
+        plain = w_and_lens(sample_unit_ball_batch(2, 50_000, RandomStream(47)))[0]
+        assert kstest(w, plain).statistic < 0.02
+
     def test_scalar_draw(self):
         draw = sample_w_batch(2, 1, RandomStream(34))
         assert draw.shape == (1, 2) and 1.0 <= draw[0, 0] <= 2.0
@@ -66,8 +75,9 @@ class TestSampleW:
 
 class TestSamplerMatchesReference:
     # blocks of rows, partial ones included, give the unblocked values bit
-    # for bit and leave the stream where the unblocked sampler leaves it
-    @pytest.mark.parametrize("n", [5, 8191, 8193, 2**16 - 3])
+    # for bit and leave the stream where the unblocked sampler leaves it;
+    # at d >= 2 the rows are mirrored pairs, and an odd n ends unpaired
+    @pytest.mark.parametrize("n", [1, 2, 5, 8191, 8193, 2**16 - 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 20, 21])
     def test_equals_unblocked(self, d, n):
         rng, ref_rng = RandomStream(70, d), RandomStream(70, d)
